@@ -36,8 +36,8 @@ where
 
 /// Serial variant of [`sweep`] for sub-threshold grids.
 ///
-/// Dispatching a sweep through the pool costs worker spawns and a result
-/// channel per call; for grid drivers whose whole serial runtime is under
+/// Dispatching a sweep through the pool costs worker spawns and a join per
+/// call; for grid drivers whose whole serial runtime is under
 /// ~20ms (fig10–fig14, table3, scaleout, compression at quick effort) that
 /// overhead exceeds the work and `recsim run --all` regressed below 1x.
 /// Those drivers iterate inline instead — same closure contract, same

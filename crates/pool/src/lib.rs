@@ -6,7 +6,7 @@
 //!
 //! * **Determinism.** [`par_map`] returns results in submission order, so a
 //!   sweep folded from its output is byte-identical to the serial fold no
-//!   matter how many workers ran or which worker took which chunk.
+//!   matter how many workers ran or which worker took which item.
 //! * **No detached threads.** All helpers are scoped (`std::thread::scope`),
 //!   so a panic inside a task is surfaced to the caller instead of leaving
 //!   the process wedged with a half-finished sweep.
@@ -19,14 +19,23 @@
 //! is not seen.
 //!
 //! The scheduler is intentionally simple: the calling thread is worker 0
-//! and spawns `workers - 1` scoped helpers. The index space is cut into
-//! fixed-size contiguous chunks (about four per worker), and one shared
-//! atomic cursor hands them out in index order to whichever worker asks
-//! next. Each worker returns its `(chunk, results)` pairs, and the caller
-//! joins them in chunk order.
+//! and spawns scoped helpers, and one shared atomic cursor hands out item
+//! indices one at a time to whichever worker asks next. Each worker returns
+//! its `(index, result)` pairs, and the caller sorts them once.
+//!
+//! Nesting has one rule. Every thread running items is marked and counted
+//! process-wide. A top-level call keeps its full width (see [`par_map`] and
+//! [`par_map_with`]); a call made on a marked thread spawns only as many
+//! helpers as there are cores the count leaves idle, and runs inline when
+//! there are none. It asks again before each item it runs itself, and a
+//! thread's place in the count is returned as soon as its loop ends, so
+//! the long tail of an uneven sweep borrows the cores that finished early,
+//! and nested calls never add threads past the core count.
+//! [`scoped_workers`] threads are counted the same way.
 
 #![forbid(unsafe_code)]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -73,8 +82,9 @@ pub fn thread_count() -> usize {
 /// detected core count), preserving input order.
 ///
 /// The calling thread runs items too, as worker 0, alongside `workers - 1`
-/// scoped helpers; all of them take chunks from one shared cursor. The
-/// output is element-for-element identical to
+/// scoped helpers; all of them take indices from one shared cursor. Called
+/// from inside another call's item, it spawns helpers only for idle cores
+/// (see the crate docs). The output is element-for-element identical to
 /// `items.iter().map(f).collect()`; with one worker (or one item) that exact
 /// serial path is taken. A panic in `f` is re-raised on the calling thread
 /// after all workers have drained.
@@ -92,6 +102,7 @@ where
 }
 
 /// [`par_map`] with an explicit worker count, bypassing the global override.
+/// A nested call still borrows only idle cores.
 ///
 /// Exposed so determinism tests can compare thread counts side by side
 /// without racing on process-global state.
@@ -136,45 +147,69 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = threads.clamp(1, items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
+    let caller = Mark::enter();
+    if workers == 1 {
         return items.iter().map(f).collect();
     }
-
-    let chunk = (items.len() / (workers * 4)).max(1);
+    // A top-level call counts its caller and keeps its full width. A nested
+    // call's caller is counted already; before each item it runs, it claims
+    // idle cores for the helpers it still lacks, so a call that started
+    // inline picks up the cores that other work frees while it runs.
+    let top_level = caller.is_some();
     let cursor = AtomicUsize::new(0);
-    // One worker's loop: claim the next chunk until the cursor runs off
-    // the end. Chunk `k` covers indices `k * chunk ..`, so `start / chunk`
-    // is its position in the output.
-    let work = || {
-        let mut done: Vec<(usize, Vec<R>)> = Vec::new();
-        loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= items.len() {
-                return done;
-            }
-            let part = items[start..].iter().take(chunk);
-            done.push((start / chunk, part.map(&f).collect()));
-        }
+    let next = || {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        items.get(i).map(|item| (i, item))
     };
-    let mut chunks = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let mut chunks = work();
-        for helper in helpers {
+    // A helper's loop: take the next index until the cursor runs off the
+    // end, keeping each result with its index.
+    let work = || {
+        let mut done = Vec::new();
+        while let Some((i, item)) = next() {
+            done.push((i, f(item)));
+        }
+        done
+    };
+    let mut pairs = std::thread::scope(|scope| {
+        let mut spawned = Vec::new();
+        let mut pairs = Vec::new();
+        loop {
+            // Helpers only for items beyond the one the caller takes next.
+            let left = items
+                .len()
+                .saturating_sub(cursor.load(Ordering::Relaxed) + 1);
+            let want = (workers - 1 - spawned.len()).min(left);
+            if want > 0 {
+                let slots = if top_level {
+                    (0..want).map(|_| Slot::add()).collect()
+                } else {
+                    claim_idle(want)
+                };
+                spawned.extend(slots.into_iter().map(|slot| {
+                    scope.spawn(move || {
+                        let _mark = Mark::new(slot);
+                        work()
+                    })
+                }));
+            }
+            let Some((i, item)) = next() else { break };
+            pairs.push((i, f(item)));
+        }
+        // A top-level caller returns its slot before it waits, so nested
+        // calls still running on the helpers can borrow its core.
+        drop(caller);
+        for helper in spawned {
             match helper.join() {
-                Ok(done) => chunks.extend(done),
+                Ok(done) => pairs.extend(done),
                 // Surface the original payload on the caller; the scope
                 // joins the remaining helpers before it unwinds.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        chunks
+        pairs
     });
-    chunks.sort_unstable_by_key(|&(k, _)| k);
-    let mut out = Vec::with_capacity(items.len());
-    for (_, results) in chunks {
-        out.extend(results);
-    }
-    out
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Run `n` long-lived workers `f(0) .. f(n-1)` to completion.
@@ -182,23 +217,97 @@ where
 /// For actor-style parallelism (e.g. asynchronous EASGD trainers) where each
 /// worker owns an index rather than pulling from a shared queue. Worker 0
 /// runs on the calling thread; the rest are scoped threads, so a worker
-/// panic propagates to the caller once all workers have finished.
+/// panic propagates to the caller once all workers have finished. Workers
+/// may wait on each other, so all `n` always run at once, but each counts
+/// as busy like a `par_map` worker: a `par_map` inside one borrows only
+/// idle cores.
 pub fn scoped_workers<F>(n: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    let n = n.max(1);
-    if n == 1 {
-        f(0);
-        return;
-    }
-    let f_ref = &f;
+    let caller = Mark::enter();
+    let slots: Vec<Slot> = (1..n.max(1)).map(|_| Slot::add()).collect();
+    let f = &f;
     std::thread::scope(|scope| {
-        for worker in 1..n {
-            scope.spawn(move || f_ref(worker));
+        for (worker, slot) in (1..).zip(slots) {
+            scope.spawn(move || {
+                let _mark = Mark::new(slot);
+                f(worker);
+            });
         }
-        f_ref(0);
+        f(0);
+        drop(caller);
     });
+}
+
+/// Threads counted as busy running `par_map` items or `scoped_workers`,
+/// process-wide. A top-level call adds its full width; a nested call adds
+/// only what [`claim_idle`] grants, which never takes the count past the
+/// core count.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread is counted in [`LIVE`]: a `par_map` called while
+    /// it is set is nested.
+    static IN_ITEMS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Claims up to `want` of the cores [`LIVE`] does not count, one slot each.
+fn claim_idle(want: usize) -> Vec<Slot> {
+    let cap = cores().unwrap_or(1);
+    let grant = |live: usize| want.min(cap.saturating_sub(live));
+    let granted = LIVE
+        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |live| {
+            match grant(live) {
+                0 => None,
+                n => Some(live + n),
+            }
+        })
+        .map_or(0, grant);
+    (0..granted).map(|_| Slot).collect()
+}
+
+/// One place in [`LIVE`]; dropping it returns the place, so a slot moved
+/// into a helper that never starts is not lost.
+struct Slot;
+
+impl Slot {
+    /// Adds a place to [`LIVE`] whatever the count.
+    fn add() -> Self {
+        LIVE.fetch_add(1, Ordering::AcqRel);
+        Slot
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        LIVE.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Marks the current thread as busy while it holds a [`Slot`]. Dropping it,
+/// when the thread's loop ends or unwinds, clears the mark and returns the
+/// slot.
+struct Mark {
+    _slot: Slot,
+}
+
+impl Mark {
+    fn new(slot: Slot) -> Self {
+        IN_ITEMS.set(true);
+        Mark { _slot: slot }
+    }
+
+    /// Counts and marks the current thread, unless it is marked already.
+    fn enter() -> Option<Self> {
+        (!IN_ITEMS.get()).then(|| Mark::new(Slot::add()))
+    }
+}
+
+impl Drop for Mark {
+    fn drop(&mut self) {
+        IN_ITEMS.set(false);
+    }
 }
 
 #[cfg(test)]
