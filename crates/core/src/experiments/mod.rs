@@ -33,7 +33,7 @@ use crate::{Effort, ExperimentOutput};
 pub type Driver = fn(Effort) -> ExperimentOutput;
 
 /// Every driver, as `(id, function)` pairs — the registry behind
-/// `recsim run`, the `all_experiments` binary and the integration tests.
+/// `recsim run`, the `recsim-bench` recorder and the integration tests.
 /// `detsan_demo` is deliberately left out (it is broken on purpose).
 pub fn registry() -> Vec<(&'static str, Driver)> {
     vec![

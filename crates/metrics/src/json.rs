@@ -1,7 +1,7 @@
 //! A small JSON document model with writers and a parser.
 //!
 //! Every machine-readable artifact — `results/<id>.json`, `recsim prof
-//! --format json`, checkpoints, the `BENCH_*.json` baselines — goes through
+//! --format json`, checkpoints, `BENCH.json` — goes through
 //! [`Value`]. Objects keep insertion order, [`Value::to_pretty`] indents by
 //! two spaces, strings escape only `"`, `\` and control characters, and
 //! floats print their shortest round-trip digits (`64.0`, `0.00008189`,

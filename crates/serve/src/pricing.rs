@@ -11,17 +11,13 @@
 //!   plus a PCIe message to bring the row over.
 //!
 //! The closed form prices everything from the `recsim-hw` presets, so the
-//! experiment driver is self-contained and deterministic. The CLI may
-//! instead calibrate the dense term from the measured kernel baseline
-//! (`BENCH_kernels.json`) via [`LatencyModel::from_kernel_bench`] — real
-//! p50s replace the roofline estimate, closed form fills any gap.
+//! experiment driver and the CLI are self-contained and deterministic.
 
 use recsim_data::ModelConfig;
 use recsim_hw::device::v100;
 use recsim_hw::memory::{ddr4_dual_socket, hbm2_v100, AccessPattern};
 use recsim_hw::units::{Bytes, Flops};
 use recsim_hw::Link;
-use recsim_metrics::json::{self, Value};
 
 /// Per-batch latency coefficients, all in virtual microseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,33 +63,6 @@ impl LatencyModel {
         }
     }
 
-    /// Calibrates the dense term from a measured kernel baseline
-    /// (`BENCH_kernels.json`, schema `recsim-bench-kernels-v1`): the
-    /// measured `linear/fwd` p50 replaces the roofline per-example cost.
-    /// Returns `None` when the document does not parse or carries no
-    /// usable rows; callers fall back to [`LatencyModel::closed_form`].
-    pub fn from_kernel_bench(json: &str, model: &ModelConfig) -> Option<Self> {
-        let doc = json::parse(json).ok()?;
-        let ops = doc.get("ops")?.as_array()?;
-        let p50_us = |op: &str| -> Option<f64> {
-            ops.iter()
-                .find(|o| o.get("op").and_then(Value::as_str) == Some(op))?
-                .get("p50_us")?
-                .as_f64()
-        };
-        // The training baseline measures whole-layer GEMMs at training
-        // batch sizes; per example, the forward stack costs roughly the
-        // linear/fwd p50 split across the baseline batch. Conservatively
-        // assume a 128-example measurement batch.
-        let linear_p50 = p50_us("linear/fwd").filter(|&v| v > 0.0)?;
-        let layers = (model.bottom_mlp().len() + model.top_mlp().len()).max(1) as f64;
-        let per_example_us = linear_p50 * layers / 128.0;
-        Some(Self {
-            per_example_us,
-            ..Self::closed_form(model)
-        })
-    }
-
     /// Service time of one micro-batch, microseconds.
     pub fn batch_us(&self, batch_size: usize, hits: u64, misses: u64) -> f64 {
         self.batch_overhead_us
@@ -128,28 +97,5 @@ mod tests {
             batched < single,
             "per-example batched {batched} vs single {single}"
         );
-    }
-
-    #[test]
-    fn kernel_bench_calibration_overrides_dense_term() {
-        let json = r#"{"schema": "recsim-bench-kernels-v1",
-            "ops": [{"op": "linear/fwd", "p50_us": 256.0}]}"#;
-        let m = LatencyModel::from_kernel_bench(json, &model()).expect("parses");
-        let closed = LatencyModel::closed_form(&model());
-        assert!((m.hit_us_per_lookup - closed.hit_us_per_lookup).abs() < 1e-12);
-        assert!(m.per_example_us > 0.0);
-        assert_ne!(m.per_example_us, closed.per_example_us);
-    }
-
-    #[test]
-    fn committed_kernel_bench_calibrates() {
-        let committed = include_str!("../../../BENCH_kernels.json");
-        assert!(LatencyModel::from_kernel_bench(committed, &model()).is_some());
-    }
-
-    #[test]
-    fn malformed_bench_is_rejected() {
-        assert!(LatencyModel::from_kernel_bench("{", &model()).is_none());
-        assert!(LatencyModel::from_kernel_bench("{\"ops\": []}", &model()).is_none());
     }
 }

@@ -89,9 +89,9 @@ pub enum Code {
     /// A crate under `crates/` is missing from the DESIGN.md workspace
     /// inventory (§2) or has no layer in the dependency DAG.
     CrateUndocumented,
-    /// A `BENCH_*.json` artifact at the repo root does not match the
-    /// recsim-bench schema or names no existing bench binary (stale or
-    /// renamed baseline).
+    /// A `BENCH.json` / `BENCH_*.json` artifact at the repo root does not
+    /// match the recsim-bench schema or no `crates/bench/src` source names
+    /// it (stale or renamed baseline).
     StaleBenchArtifact,
     /// Library code uses a hash-ordered collection (`HashMap`/`HashSet`)
     /// whose iteration order is nondeterministic; result-producing crates
@@ -253,7 +253,7 @@ impl Code {
                 "crate missing from the DESIGN.md workspace inventory or layering DAG"
             }
             Code::StaleBenchArtifact => {
-                "BENCH_*.json artifact off-schema or naming no existing bench binary"
+                "BENCH*.json artifact off-schema or written by no crates/bench source"
             }
             Code::UnorderedCollection => {
                 "hash-ordered collection in result-producing library code (use an ordered one)"

@@ -1,97 +1,39 @@
-//! RV014: every `BENCH_*.json` baseline artifact at the repo root must
-//! still be backed by the workspace. A bench binary writes its speedup
-//! baseline under a stable filename; if that binary is renamed or deleted,
-//! the artifact silently rots and CI keeps comparing against a ghost. The
-//! rule is structural (the lint engine is dependency-free, so there is no
-//! JSON parser here): the artifact must be balanced JSON, carry one of the
-//! known schema tags plus every field of that schema, and its filename
-//! must appear verbatim in some `crates/bench/src/bin` source — the writer
-//! names its own artifact, so a missing mention means the producer is
-//! gone.
+//! RV014: `BENCH.json` and any `BENCH_*.json` at the repo root must be
+//! backed by the workspace. The recorder writes `BENCH.json`; if it is
+//! renamed or deleted, or a file from an older recorder lingers, CI keeps
+//! comparing against a ghost. The rule is structural (the lint engine is
+//! dependency-free, so there is no JSON parser here): the artifact must be
+//! balanced JSON, carry the one schema tag plus every field of that schema,
+//! and its filename must appear verbatim in some `crates/bench/src` source —
+//! the writer names its own artifact, so a missing mention means the
+//! producer is gone.
 
 use crate::{Code, Diagnostic};
 
-/// The schema tag of the sweep speedup baseline (`BENCH_sweeps.json`,
-/// documented in `crates/bench/src/lib.rs`).
-pub const BENCH_SCHEMA: &str = "recsim-bench-sweeps-v1";
+/// The schema tag of `BENCH.json` (documented in `crates/bench/src/lib.rs`).
+pub const BENCH_SCHEMA: &str = "recsim-bench-v1";
 
-/// The schema tag of the hot-path kernel baseline (`BENCH_kernels.json`,
-/// written by the `kernels_baseline` binary).
-pub const KERNELS_SCHEMA: &str = "recsim-bench-kernels-v1";
-
-/// The schema tag of the serving-tier baseline (`BENCH_serve.json`,
-/// written by the `serve_baseline` binary).
-pub const SERVE_SCHEMA: &str = "recsim-bench-serve-v1";
-
-/// The schema tag of the per-row sharding baseline (`BENCH_rowshard.json`,
-/// written by the `rowshard_baseline` binary).
-pub const ROWSHARD_SCHEMA: &str = "recsim-bench-rowshard-v1";
-
-/// Top-level fields of the `recsim-bench-sweeps-v1` schema besides
-/// `schema` itself (which is value-checked, not just presence-checked).
-pub const REQUIRED_KEYS: [&str; 7] = [
-    "threads",
+/// Top-level fields of the `recsim-bench-v1` schema besides `schema` itself
+/// (which is value-checked, not just presence-checked).
+pub const REQUIRED_KEYS: [&str; 9] = [
     "effort",
+    "threads",
+    "cores",
     "drivers",
     "serial_total_secs",
     "parallel_total_secs",
     "speedup",
+    "kernels",
     "outputs_identical",
 ];
-
-/// Top-level fields of the `recsim-bench-kernels-v1` schema besides
-/// `schema`.
-pub const KERNELS_REQUIRED_KEYS: [&str; 7] = [
-    "effort",
-    "ops",
-    "loop_total_secs",
-    "leaf_total_secs",
-    "baseline_wall_secs",
-    "profiled_wall_secs",
-    "outputs_identical",
-];
-
-/// Top-level fields of the `recsim-bench-serve-v1` schema besides
-/// `schema`.
-pub const SERVE_REQUIRED_KEYS: [&str; 7] = [
-    "effort",
-    "threads",
-    "scenarios",
-    "serial_wall_secs",
-    "parallel_wall_secs",
-    "speedup",
-    "outputs_identical",
-];
-
-/// Top-level fields of the `recsim-bench-rowshard-v1` schema besides
-/// `schema`.
-pub const ROWSHARD_REQUIRED_KEYS: [&str; 7] = [
-    "effort",
-    "threads",
-    "models",
-    "serial_wall_secs",
-    "parallel_wall_secs",
-    "speedup",
-    "outputs_identical",
-];
-
-/// The required key set for a recognized schema tag.
-fn required_keys_for(tag: &str) -> Option<&'static [&'static str]> {
-    match tag {
-        BENCH_SCHEMA => Some(&REQUIRED_KEYS),
-        KERNELS_SCHEMA => Some(&KERNELS_REQUIRED_KEYS),
-        SERVE_SCHEMA => Some(&SERVE_REQUIRED_KEYS),
-        ROWSHARD_SCHEMA => Some(&ROWSHARD_REQUIRED_KEYS),
-        _ => None,
-    }
-}
 
 /// RV014 for the repo-root bench artifacts. `artifacts` holds
-/// `(file name, contents)` for every `BENCH_*.json`; `bin_sources` holds
-/// `(rel path, contents)` for every `crates/bench/src/bin/*.rs`.
+/// `(file name, contents)` for `BENCH.json` and every `BENCH_*.json`;
+/// `bench_sources` holds `(rel path, contents)` for every `crates/bench/src`
+/// source.
 pub fn check_bench_artifacts(
     artifacts: &[(String, String)],
-    bin_sources: &[(String, String)],
+    bench_sources: &[(String, String)],
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (name, json) in artifacts {
@@ -104,12 +46,9 @@ pub fn check_bench_artifacts(
             ));
             continue;
         }
-        match string_value_of(json, "schema")
-            .as_deref()
-            .map(|tag| required_keys_for(tag).ok_or_else(|| tag.to_string()))
-        {
-            Some(Ok(required)) => {
-                for &key in required {
+        match string_value_of(json, "schema") {
+            Some(tag) if tag == BENCH_SCHEMA => {
+                for key in REQUIRED_KEYS {
                     if !has_key(json, key) {
                         out.push(Diagnostic::error(
                             Code::StaleBenchArtifact,
@@ -119,33 +58,26 @@ pub fn check_bench_artifacts(
                     }
                 }
             }
-            Some(Err(tag)) => out.push(Diagnostic::error(
+            Some(tag) => out.push(Diagnostic::error(
                 Code::StaleBenchArtifact,
                 name,
-                format!(
-                    "schema tag `{tag}` is none of `{BENCH_SCHEMA}`, `{KERNELS_SCHEMA}`, \
-                     `{SERVE_SCHEMA}`, or `{ROWSHARD_SCHEMA}`"
-                ),
+                format!("schema tag `{tag}` is not `{BENCH_SCHEMA}`"),
             )),
             None => out.push(Diagnostic::error(
                 Code::StaleBenchArtifact,
                 name,
-                format!(
-                    "artifact has no `schema` string field (`{BENCH_SCHEMA}`, \
-                     `{KERNELS_SCHEMA}`, `{SERVE_SCHEMA}`, or `{ROWSHARD_SCHEMA}` \
-                     expected)"
-                ),
+                format!("artifact has no `schema` string field (`{BENCH_SCHEMA}` expected)"),
             )),
         }
-        if !bin_sources
+        if !bench_sources
             .iter()
             .any(|(_, src)| src.contains(name.as_str()))
         {
             out.push(Diagnostic::error(
                 Code::StaleBenchArtifact,
                 name,
-                "no bench binary under crates/bench/src/bin names this artifact \
-                 — its producer was renamed or removed; delete or regenerate it",
+                "no source under crates/bench/src names this artifact — its \
+                 producer was renamed or removed; delete or regenerate it",
             ));
         }
     }
@@ -236,23 +168,24 @@ mod tests {
 
     fn valid_doc() -> String {
         format!(
-            "{{\"schema\": \"{BENCH_SCHEMA}\", \"threads\": 4, \"effort\": \"quick\", \
-             \"drivers\": [{{\"id\": \"fig10\", \"serial_secs\": 0.5}}], \
-             \"serial_total_secs\": 0.5, \"parallel_total_secs\": 0.2, \
-             \"speedup\": 2.5, \"outputs_identical\": true}}"
+            "{{\"schema\": \"{BENCH_SCHEMA}\", \"effort\": \"quick\", \"threads\": 4, \
+             \"cores\": 2, \"drivers\": [{{\"id\": \"fig10\", \"t1_secs\": 0.5, \
+             \"tn_secs\": 0.3}}], \"serial_total_secs\": 0.3, \"parallel_total_secs\": 0.2, \
+             \"speedup\": 1.5, \"kernels\": {{\"driver\": \"automl\", \"ops\": []}}, \
+             \"outputs_identical\": true}}"
         )
     }
 
     fn producer() -> Vec<(String, String)> {
         vec![(
-            "crates/bench/src/bin/all_experiments.rs".to_string(),
-            "let path = root.join(\"BENCH_sweeps.json\");".to_string(),
+            "crates/bench/src/lib.rs".to_string(),
+            "pub const BENCH_FILE: &str = \"BENCH.json\";".to_string(),
         )]
     }
 
     #[test]
     fn valid_artifact_with_producer_passes() {
-        let artifacts = vec![("BENCH_sweeps.json".to_string(), valid_doc())];
+        let artifacts = vec![("BENCH.json".to_string(), valid_doc())];
         assert!(check_bench_artifacts(&artifacts, &producer()).is_empty());
     }
 
@@ -267,97 +200,48 @@ mod tests {
 
     #[test]
     fn wrong_schema_tag_is_flagged() {
-        let doc = valid_doc().replace(BENCH_SCHEMA, "recsim-bench-sweeps-v0");
-        let artifacts = vec![("BENCH_sweeps.json".to_string(), doc)];
+        let doc = valid_doc().replace(BENCH_SCHEMA, "recsim-bench-v0");
+        let artifacts = vec![("BENCH.json".to_string(), doc)];
         let diags = check_bench_artifacts(&artifacts, &producer());
         assert_eq!(diags.len(), 1);
-        assert!(diags[0].message().contains("recsim-bench-sweeps-v0"));
+        assert!(diags[0].message().contains("recsim-bench-v0"));
+    }
+
+    #[test]
+    fn retired_schema_tags_are_rejected() {
+        // The per-recorder schemas `BENCH.json` replaced, as a leftover
+        // file of each would carry them: wrong tag, and no producer.
+        for (file, tag) in [
+            ("BENCH_sweeps.json", "recsim-bench-sweeps-v1"),
+            ("BENCH_kernels.json", "recsim-bench-kernels-v1"),
+            ("BENCH_serve.json", "recsim-bench-serve-v1"),
+            ("BENCH_rowshard.json", "recsim-bench-rowshard-v1"),
+        ] {
+            let artifacts = vec![(file.to_string(), valid_doc().replace(BENCH_SCHEMA, tag))];
+            let diags = check_bench_artifacts(&artifacts, &producer());
+            assert_eq!(diags.len(), 2, "{file}");
+            assert!(diags[0].message().contains(tag), "{file}");
+            assert!(diags[1].message().contains("producer"), "{file}");
+        }
     }
 
     #[test]
     fn missing_field_is_flagged() {
-        let doc = valid_doc().replace("\"speedup\": 2.5, ", "");
-        let artifacts = vec![("BENCH_sweeps.json".to_string(), doc)];
-        let diags = check_bench_artifacts(&artifacts, &producer());
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message().contains("speedup"));
-    }
-
-    #[test]
-    fn kernels_schema_is_accepted_with_its_own_keys() {
-        let doc = format!(
-            "{{\"schema\": \"{KERNELS_SCHEMA}\", \"effort\": \"quick\", \
-             \"ops\": [{{\"op\": \"linear/fwd\", \"total_secs\": 0.1}}], \
-             \"loop_total_secs\": 0.5, \"leaf_total_secs\": 0.4, \
-             \"baseline_wall_secs\": 0.6, \"profiled_wall_secs\": 0.7, \
-             \"outputs_identical\": true}}"
-        );
-        let producer = vec![(
-            "crates/bench/src/bin/kernels_baseline.rs".to_string(),
-            "let path = root.join(\"BENCH_kernels.json\");".to_string(),
-        )];
-        let artifacts = vec![("BENCH_kernels.json".to_string(), doc.clone())];
-        assert!(check_bench_artifacts(&artifacts, &producer).is_empty());
-
-        // Kernels artifacts are checked against *their* key list, not the
-        // sweeps one: dropping a kernels key is flagged by name.
-        let broken = doc.replace("\"loop_total_secs\": 0.5, ", "");
-        let artifacts = vec![("BENCH_kernels.json".to_string(), broken)];
-        let diags = check_bench_artifacts(&artifacts, &producer);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message().contains("loop_total_secs"));
-    }
-
-    #[test]
-    fn serve_schema_is_accepted_with_its_own_keys() {
-        let doc = format!(
-            "{{\"schema\": \"{SERVE_SCHEMA}\", \"effort\": \"quick\", \"threads\": 4, \
-             \"scenarios\": [{{\"id\": \"cache-sweep\", \"p99_ms\": 1.5}}], \
-             \"serial_wall_secs\": 0.6, \"parallel_wall_secs\": 0.3, \
-             \"speedup\": 2.0, \"outputs_identical\": true}}"
-        );
-        let producer = vec![(
-            "crates/bench/src/bin/serve_baseline.rs".to_string(),
-            "let path = root.join(\"BENCH_serve.json\");".to_string(),
-        )];
-        let artifacts = vec![("BENCH_serve.json".to_string(), doc.clone())];
-        assert!(check_bench_artifacts(&artifacts, &producer).is_empty());
-
-        let broken = doc.replace("\"scenarios\"", "\"scenes\"");
-        let artifacts = vec![("BENCH_serve.json".to_string(), broken)];
-        let diags = check_bench_artifacts(&artifacts, &producer);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message().contains("scenarios"));
-    }
-
-    #[test]
-    fn rowshard_schema_is_accepted_with_its_own_keys() {
-        let doc = format!(
-            "{{\"schema\": \"{ROWSHARD_SCHEMA}\", \"effort\": \"quick\", \"threads\": 4, \
-             \"models\": [{{\"id\": \"M1\", \"advantage\": 0.4}}], \
-             \"serial_wall_secs\": 0.6, \"parallel_wall_secs\": 0.3, \
-             \"speedup\": 2.0, \"outputs_identical\": true}}"
-        );
-        let producer = vec![(
-            "crates/bench/src/bin/rowshard_baseline.rs".to_string(),
-            "let path = root.join(\"BENCH_rowshard.json\");".to_string(),
-        )];
-        let artifacts = vec![("BENCH_rowshard.json".to_string(), doc.clone())];
-        assert!(check_bench_artifacts(&artifacts, &producer).is_empty());
-
-        let broken = doc.replace("\"models\"", "\"tables\"");
-        let artifacts = vec![("BENCH_rowshard.json".to_string(), broken)];
-        let diags = check_bench_artifacts(&artifacts, &producer);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message().contains("models"));
+        for (key, field) in [
+            ("speedup", "\"speedup\": 1.5, "),
+            ("cores", "\"cores\": 2, "),
+        ] {
+            let doc = valid_doc().replace(field, "");
+            let artifacts = vec![("BENCH.json".to_string(), doc)];
+            let diags = check_bench_artifacts(&artifacts, &producer());
+            assert_eq!(diags.len(), 1);
+            assert!(diags[0].message().contains(key));
+        }
     }
 
     #[test]
     fn unbalanced_json_is_flagged_once() {
-        let artifacts = vec![(
-            "BENCH_sweeps.json".to_string(),
-            "{\"schema\": [}".to_string(),
-        )];
+        let artifacts = vec![("BENCH.json".to_string(), "{\"schema\": [}".to_string())];
         let diags = check_bench_artifacts(&artifacts, &producer());
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message().contains("well-formed"));

@@ -4,8 +4,8 @@
 //! a result path: `SystemTime::now` and friends make artifacts differ run to
 //! run, which the byte-identical determinism contract forbids. Randomness
 //! must come from explicitly seeded generators (the workspace threads a
-//! fixed seed through every driver). Only the recsim-bench timing binaries
-//! — whose entire purpose is measuring host wall-clock — are exempt.
+//! fixed seed through every driver). Only the recsim-bench recorder — whose
+//! entire purpose is measuring host wall-clock — is exempt.
 
 use super::source;
 use crate::{Code, Diagnostic};
@@ -27,8 +27,8 @@ fn entropy_tokens() -> [String; 6] {
 }
 
 /// True for files RV017 exempts: recsim-bench exists to time real execution,
-/// so its sources (including its `src/bin/` timing harnesses) may read the
-/// host clock; and the profiler's single clock module — every recsim-prof
+/// so its sources (the `BENCH.json` recorder and the bench timer) may read
+/// the host clock; and the profiler's single clock module — every recsim-prof
 /// timestamp funnels through `crates/prof/src/clock.rs`, keeping the rest
 /// of the profiler (and everything it instruments) under the ban.
 pub fn is_exempt(path: &str) -> bool {
@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn bench_timing_sources_are_exempt() {
         let src = "fn main() { let t = std::time::Instant::now(); }\n";
-        assert!(check_entropy_sources("crates/bench/src/bin/all_experiments.rs", src).is_empty());
+        assert!(check_entropy_sources("crates/bench/src/lib.rs", src).is_empty());
     }
 
     #[test]

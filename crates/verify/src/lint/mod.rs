@@ -152,10 +152,10 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
 
     // RV014 over the repo-root bench baselines.
     let bench_artifacts = root_bench_artifacts(root, &mut diags);
-    let bin_sources = sources_under(root, &["crates/bench/src/bin"]);
+    let bench_sources = sources_under(root, &["crates/bench/src"]);
     diags.extend(artifacts::check_bench_artifacts(
         &bench_artifacts,
-        &bin_sources,
+        &bench_sources,
     ));
 
     // RV008 + RV009 over every manifest; RV013 (DESIGN.md inventory + DAG
@@ -321,14 +321,15 @@ fn sources_under(root: &Path, rel_dirs: &[&str]) -> Vec<(String, String)> {
     out
 }
 
-/// Every `BENCH_*.json` at the workspace root, as `(file name, contents)`.
+/// `BENCH.json` and every `BENCH_*.json` at the workspace root, as
+/// `(file name, contents)`.
 fn root_bench_artifacts(root: &Path, diags: &mut Vec<Diagnostic>) -> Vec<(String, String)> {
     let mut names: Vec<String> = fs::read_dir(root)
         .map(|rd| {
             rd.filter_map(Result::ok)
                 .filter(|e| e.path().is_file())
                 .filter_map(|e| e.file_name().to_str().map(String::from))
-                .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+                .filter(|n| n == "BENCH.json" || (n.starts_with("BENCH_") && n.ends_with(".json")))
                 .collect()
         })
         .unwrap_or_default();

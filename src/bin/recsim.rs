@@ -1017,22 +1017,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         push,
     };
 
-    // Latency terms: the measured kernel baseline when the artifact is in
-    // the tree, the closed-form hardware model otherwise.
-    let bench = recsim::verify::lint::workspace_root()
-        .map(|root| root.join("BENCH_kernels.json"))
-        .and_then(|path| std::fs::read_to_string(path).ok());
-    let (latency, source) = match bench
-        .as_deref()
-        .and_then(|json| LatencyModel::from_kernel_bench(json, &model))
-    {
-        Some(calibrated) => (calibrated, "measured BENCH_kernels.json"),
-        None => (LatencyModel::closed_form(&model), "closed-form hw model"),
-    };
-
+    let latency = LatencyModel::closed_form(&model);
     println!(
         "serving {} under `{setup}` load: {rps:.0} rps x {duration:.1} s, {} cache of {} \
-         rows, batch <= {} within {} us, SLO {} ms (latency: {source})",
+         rows, batch <= {} within {} us, SLO {} ms (latency: closed-form hw model)",
         model.name(),
         policy.name(),
         cfg.capacity_rows,
