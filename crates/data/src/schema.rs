@@ -392,11 +392,12 @@ impl ModelConfig {
     }
 
     /// Total bytes of all *distinct* embedding tables (weights only);
-    /// shared tables count once.
+    /// shared tables count once. Saturates at `u64::MAX`, which RV028
+    /// reports as an overflow.
     pub fn total_embedding_bytes(&self) -> u64 {
         (0..self.num_tables())
-            .map(|t| self.table_hash_size(t) * self.row_bytes())
-            .sum()
+            .map(|t| self.table_hash_size(t).saturating_mul(self.row_bytes()))
+            .fold(0, u64::saturating_add)
     }
 
     /// Total MLP parameter bytes (both stacks, weights + biases).
@@ -682,10 +683,15 @@ impl Validate for ModelConfig {
                     ));
                 }
             }
+            // Checked, so a huge hash size is reported here instead of
+            // overflowing the byte arithmetic of placement and costing.
+            let mut table_bytes = Some(0u64);
             for t in 0..num_tables {
                 let features = self.table_features(t);
                 if let Some((&first, rest)) = features.split_first() {
                     let hash = self.sparse[first].hash_size;
+                    table_bytes = table_bytes
+                        .and_then(|sum| sum.checked_add(hash.checked_mul(self.row_bytes())?));
                     for &f in rest {
                         if self.sparse[f].hash_size != hash {
                             diags.push(Diagnostic::error(
@@ -696,6 +702,13 @@ impl Validate for ModelConfig {
                         }
                     }
                 }
+            }
+            if table_bytes.is_none() {
+                diags.push(Diagnostic::error(
+                    Code::InvalidModelConfig,
+                    at("sparse"),
+                    "embedding table bytes overflow u64",
+                ));
             }
         }
         diags
@@ -730,6 +743,16 @@ mod tests {
             scaled.total_embedding_bytes(),
             m.total_embedding_bytes() * 10
         );
+    }
+
+    #[test]
+    fn rv028_reports_table_byte_overflow() {
+        let huge = ModelConfig::test_suite(256, 16, 1_000_000_000_000_000_000, &[512]);
+        let diags = huge.validate();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code(), Code::InvalidModelConfig);
+        assert!(diags[0].to_string().contains("overflow"), "{}", diags[0]);
+        assert!(small().validate().is_empty());
     }
 
     #[test]

@@ -160,7 +160,9 @@ impl Placement {
     ) -> Result<Placement, PlacementError> {
         assert!(state_multiplier >= 1.0, "state multiplier must be >= 1");
         let sized = table_demands(config, state_multiplier);
-        let total_bytes: u64 = sized.iter().map(|s| s.bytes).sum();
+        // Saturating: an unplaceably large model fails the capacity checks
+        // below instead of overflowing.
+        let total_bytes = sized.iter().map(|s| s.bytes).fold(0, u64::saturating_add);
 
         // Capacities are recorded on the plan so `Validate` can re-check it
         // later (after deserialization, hand edits, or noise injection).

@@ -53,15 +53,20 @@ impl GpuTrainingSim {
     ///
     /// # Errors
     ///
-    /// [`SimError::Placement`] when the strategy cannot host the model's
-    /// tables; [`SimError::Invalid`] when the model or platform fails
-    /// validation.
+    /// [`SimError::Invalid`] when the model fails validation (checked
+    /// before planning) or the platform does; [`SimError::Placement`] when
+    /// the strategy cannot host the model's tables.
     pub fn new(
         config: &ModelConfig,
         platform: &Platform,
         strategy: PlacementStrategy,
         batch: u64,
     ) -> Result<Self, SimError> {
+        // Validate the model first: planning sums its table bytes.
+        let errors = crate::collect_errors(config.validate());
+        if !errors.diagnostics().is_empty() {
+            return Err(SimError::Invalid(errors));
+        }
         let placement = Placement::plan(
             config,
             platform,

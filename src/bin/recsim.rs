@@ -1,192 +1,457 @@
-//! The `recsim` command-line interface.
-//!
-//! ```text
-//! recsim run (--all | <id>...) [--quick] [--threads N]  run experiment drivers
-//! recsim simulate [options]               price one training setup
-//! recsim shard <setup> [options]          auto-place embeddings, compare
-//! recsim faults <setup> [options]         goodput under injected failures
-//! recsim trace <setup> [options]          export a timeline + attribution
-//! recsim prof <driver> [options]          profile the real hot path, calibrate
-//! recsim train [options]                  really train a model, report NE
-//! recsim serve <setup> [options]          serve a trained model under load
-//! recsim models                           describe the M1/M2/M3 stand-ins
-//! recsim verify                           validate presets, list RV0xx codes
-//! recsim verify --detsan <id|all>         localize nondeterminism per stage
-//! recsim help
-//! ```
+//! The `recsim` command-line interface. Every command and flag is declared
+//! once, in [`COMMANDS`] and [`FLAGS`]: [`parse`] checks argv against them
+//! and `recsim help` is rendered from them. Bad input (an unknown flag, a
+//! missing, unparsable or out-of-range value, an extra positional) exits 1
+//! with a message naming it before any command runs; the configs the
+//! commands build then meet the simulators' RV0xx `Validate` checks.
 
+use recsim::metrics::json;
 use recsim::prelude::*;
 use recsim::sim::scaleout::min_nodes;
 use recsim::sim::CostKnobs;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("shard") => cmd_shard(&args[1..]),
-        Some("faults") => cmd_faults(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("prof") => cmd_prof(&args[1..]),
-        Some("train") => cmd_train(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("models") => cmd_models(),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("help") | None => {
-            print_help();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse(&argv) {
+        Ok(args) => args,
+        Err(e) => return fail(format_args!("{e}; see `recsim help`")),
+    };
+    match args.cmd {
+        "run" => cmd_run(&args),
+        "simulate" => cmd_simulate(&args),
+        "shard" => cmd_shard(&args),
+        "faults" => cmd_faults(&args),
+        "trace" => cmd_trace(&args),
+        "prof" => cmd_prof(&args),
+        "train" => cmd_train(&args),
+        "serve" => cmd_serve(&args),
+        "models" => cmd_models(),
+        "verify" => cmd_verify(&args),
+        _ => {
+            print!("{}", help());
             ExitCode::SUCCESS
         }
-        Some(other) => {
-            eprintln!("unknown command `{other}`; try `recsim help`");
-            ExitCode::FAILURE
+    }
+}
+
+/// What a flag's value must be. A [`Kind::Switch`] takes no value; every
+/// other kind takes the next argument, which must not start with `--`.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Switch,
+    /// An integer in `min..=max`.
+    Int(u64, u64),
+    /// A positive number, finite even as an `f32` (`--lr` is one).
+    Float,
+    Choice(&'static [&'static str]),
+    /// An [`Mlp`] shape.
+    Shape,
+    /// Non-empty text; the metavar says what (a file, a driver id).
+    Text(&'static str),
+}
+
+const POS: Kind = Kind::Int(1, u64::MAX);
+const UINT: Kind = Kind::Int(0, u64::MAX);
+const NODES: Kind = Kind::Int(1, u32::MAX as u64);
+/// GiB, bounded so the byte count fits a `u64`.
+const GIB: Kind = Kind::Int(0, u64::MAX >> 30);
+/// The deepest `--mlp` stack, so the layer list stays small.
+const MAX_LAYERS: usize = 1024;
+
+impl Kind {
+    /// The value placeholder shown in the help.
+    fn metavar(self) -> String {
+        match self {
+            Kind::Switch => String::new(),
+            Kind::Int(..) => "N".into(),
+            Kind::Float => "X".into(),
+            Kind::Choice(choices) => choices.join("|"),
+            Kind::Shape => "WxL".into(),
+            Kind::Text(metavar) => metavar.into(),
+        }
+    }
+
+    /// What the kind accepts, for error messages.
+    fn expects(self) -> String {
+        match self {
+            Kind::Switch => "no value".into(),
+            Kind::Int(min, u64::MAX) => format!("an integer >= {min}"),
+            Kind::Int(min, max) => format!("an integer in {min}..={max}"),
+            Kind::Float => "a positive finite number".into(),
+            Kind::Choice(choices) => format!("one of {}", choices.join(", ")),
+            Kind::Shape => format!("WxL with W >= 1 and L in 1..={MAX_LAYERS}"),
+            Kind::Text(metavar) => format!("a non-empty {metavar}"),
+        }
+    }
+
+    /// Whether `raw` parses as this kind and is in its range.
+    fn admits(self, raw: &str) -> bool {
+        match self {
+            Kind::Switch => false,
+            Kind::Int(min, max) => raw.parse().is_ok_and(|n| (min..=max).contains(&n)),
+            Kind::Float => raw.parse().is_ok_and(|x: f32| x > 0.0 && x.is_finite()),
+            Kind::Choice(choices) => choices.contains(&raw),
+            Kind::Shape => raw.parse::<Mlp>().is_ok(),
+            Kind::Text(_) => !raw.is_empty(),
         }
     }
 }
 
-fn print_help() {
-    println!(
-        "recsim — training-efficiency laboratory for recommendation models\n\
-         \n\
-         USAGE:\n\
-         \x20 recsim run (--all | <id>...)            run experiment drivers in parallel\n\
-         \x20   [--quick] [--threads N]               (RECSIM_THREADS also honored;\n\
-         \x20                                         RECSIM_RESULTS_DIR=<dir> writes\n\
-         \x20                                         <id>.json + <id>_fig<i>.csv)\n\
-         \x20 recsim simulate [options]               simulate one training setup\n\
-         \x20 recsim shard <setup> [options]          auto-place embedding tables\n\
-         \x20 recsim faults <setup> [options]         goodput under injected failures\n\
-         \x20 recsim trace <setup> [options]          export a timeline + attribution\n\
-         \x20 recsim prof <driver> [options]          run a driver with the hot-path\n\
-         \x20                                         profiler armed; report per-op\n\
-         \x20                                         time/FLOP/byte shares, roofline\n\
-         \x20                                         bounds and sim-vs-measured\n\
-         \x20                                         calibration (DESIGN.md §12)\n\
-         \x20 recsim train [options]                  train for real, report NE\n\
-         \x20 recsim serve <setup> [options]          price a serving scenario in\n\
-         \x20                                         virtual time, then train a\n\
-         \x20                                         model and score the exact\n\
-         \x20                                         schedule through it\n\
-         \x20 recsim models                           describe M1/M2/M3 stand-ins\n\
-         \x20 recsim verify                           validate presets, list RV0xx codes\n\
-         \x20 recsim verify --detsan <id|all>         run each driver at 1 vs N threads\n\
-         \x20   [--quick] [--threads N]               and report the first divergent\n\
-         \x20                                         stage + sweep point (DESIGN.md §11;\n\
-         \x20                                         RECSIM_RESULTS_DIR writes -t1/-tN\n\
-         \x20                                         artifact trees for CI diffing)\n\
-         \n\
-         SIMULATE OPTIONS (defaults in brackets):\n\
-         \x20 --platform bb|bb16|zion|cpu [bb]   --placement gpu|rowwise|replicated|\n\
-         \x20                                      system|remote|hybrid [gpu]\n\
-         \x20 --dense N [256]   --sparse N [16]   --hash N [100000]\n\
-         \x20 --mlp WxL [512x3] --batch N [1600]  --nodes N (multi-node scale-out)\n\
-         \x20 --trace FILE (write a chrome://tracing timeline of one iteration)\n\
-         \x20 --attribute (print the critical-path attribution breakdown)\n\
-         \x20 --describe (print the table-by-table placement map)\n\
-         \n\
-         SHARD: recsim shard bb|bb16|zion\n\
-         \x20 --solver greedy|pack|refine [refine]  --model m1|m2|m3 (production\n\
-         \x20 stand-in instead of the simulate model flags)  --batch N [1600]\n\
-         \x20 --rows (per-row hot/cold split over HBM/DDR/SCM)  --zipf S [1.1]\n\
-         \x20 --hbm-gib N [8]  --ddr-gib N [host capacity]  --scm pmem|nvme [pmem] (with --rows)\n\
-         \n\
-         FAULTS: recsim faults bb|bb16|scaleout\n\
-         \x20 --policy checkpoint|elastic|fail-stop|all [all]  --mtbf SECONDS [21600]\n\
-         \x20 --interval SECONDS (checkpoint interval; default: Young's optimum)\n\
-         \x20 --seed N [42]  --horizon SECONDS [86400]  --nodes N (scaleout only)\n\
-         \x20 plus the simulate model flags and --model m1|m2|m3\n\
-         \n\
-         TRACE: recsim trace bb|bb16|zion|cpu|scaleout\n\
-         \x20 --format chrome|text|summary [chrome]  --out FILE (default: stdout)\n\
-         \x20 plus the simulate model/placement/batch/nodes flags\n\
-         \n\
-         PROF: recsim prof <driver> (any experiment id; automl and fig15 run\n\
-         \x20 the real training loop)  [--quick]\n\
-         \x20 --format summary|chrome|json [summary]  --out FILE (default: stdout)\n\
-         \n\
-         TRAIN OPTIONS:\n\
-         \x20 --batch N [200]  --examples N [40000]  --lr F [0.04]  --seed N [31]\n\
-         \x20 --dense N [16]   --sparse N [4]        --hash N [2000]\n\
-         \n\
-         SERVE: recsim serve steady|spike|push\n\
-         \x20 --rps F [4000]  --duration SECONDS [2]  --seed N [7]\n\
-         \x20 --policy lru|lfu|static-hot [lru]  --capacity ROWS [1024]\n\
-         \x20 --max-batch N [16]  --max-delay-us N [2000]  --slo-ms F [5]\n\
-         \x20 --multiplier F [6] (spike)  --stall-us N [20000] (push)\n\
-         \x20 plus the train model flags (--dense/--sparse/--hash/--mlp)"
-    );
+/// `--mlp WxL`: `L` layers of width `W`, both stacks.
+struct Mlp(Vec<usize>);
+
+impl FromStr for Mlp {
+    type Err = ();
+
+    fn from_str(raw: &str) -> Result<Self, ()> {
+        let (w, l) = raw.split_once('x').ok_or(())?;
+        match (w.parse().map_err(drop)?, l.parse().map_err(drop)?) {
+            (w @ 1.., l @ 1..=MAX_LAYERS) => Ok(Mlp(vec![w; l])),
+            _ => Err(()),
+        }
+    }
 }
 
-/// Flags that never take a value, so `--quick fig06` keeps `fig06` as a
-/// positional argument.
-const SWITCHES: &[&str] = &["all", "quick", "attribute", "describe", "rows"];
+/// A flag's value when it is not given.
+#[derive(Debug, Clone, Copy)]
+enum FlagDefault {
+    /// No value: the flag is off or the command does without it.
+    Unset,
+    /// A literal, checked by the flag's kind like a given value.
+    Lit(&'static str),
+    /// Computed by the command from its other inputs; the text says how.
+    Computed(&'static str),
+}
 
-fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
-    let mut flags = HashMap::new();
+use FlagDefault::{Computed, Lit, Unset};
+
+/// One row of the flag table: (commands that accept it, name, kind,
+/// default, help).
+struct Flag(
+    &'static [&'static str],
+    &'static str,
+    Kind,
+    FlagDefault,
+    &'static str,
+);
+
+/// Commands that price a Section V test-suite model (or a stand-in).
+const SIM: &[&str] = &["simulate", "shard", "faults", "trace"];
+/// Commands that really train a (small) test-suite model.
+const TRAIN: &[&str] = &["train", "serve"];
+
+/// Every flag of every command.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag(&["run"], "all", Kind::Switch, Unset, "run every registered driver"),
+    Flag(&["run", "prof", "verify"], "quick", Kind::Switch, Unset, "reduced scale instead of full"),
+    Flag(&["run"], "threads", POS, Computed("RECSIM_THREADS, else the cores"), "pool width"),
+    Flag(&["verify"], "detsan", Kind::Text("id|all"), Unset, "compare drivers at 1 vs N threads"),
+    Flag(&["verify"], "threads", Kind::Int(2, u64::MAX), Computed("pool width, at least 2"), "N for --detsan"),
+    Flag(&["shard", "faults"], "model", Kind::Choice(&["m1", "m2", "m3"]), Unset, "production stand-in instead of the model flags"),
+    Flag(SIM, "dense", POS, Lit("256"), "dense features"),
+    Flag(SIM, "sparse", UINT, Lit("16"), "sparse features, one table each"),
+    Flag(SIM, "hash", POS, Lit("100000"), "rows per embedding table"),
+    Flag(SIM, "mlp", Kind::Shape, Lit("512x3"), "MLP width x layers, both stacks"),
+    Flag(TRAIN, "dense", POS, Lit("16"), "dense features"),
+    Flag(TRAIN, "sparse", UINT, Lit("4"), "sparse features, one table each"),
+    Flag(TRAIN, "hash", POS, Lit("2000"), "rows per embedding table"),
+    Flag(TRAIN, "mlp", Kind::Shape, Lit("32x2"), "MLP width x layers, both stacks"),
+    Flag(&["simulate", "shard", "trace"], "batch", POS, Lit("1600"), "global batch"),
+    Flag(&["faults"], "batch", POS, Computed("1600; 800 for scaleout"), "global batch"),
+    Flag(&["train"], "batch", POS, Lit("200"), "mini-batch"),
+    Flag(&["simulate"], "platform", Kind::Choice(&["bb", "bb16", "zion", "cpu"]), Lit("bb"), "single-node platform"),
+    Flag(&["simulate", "trace"], "placement", Kind::Choice(&["gpu", "rowwise", "replicated", "system", "remote", "hybrid"]), Lit("gpu"), "embedding placement (GPU platforms)"),
+    Flag(&["simulate"], "nodes", NODES, Unset, "multi-node scale-out instead of one platform"),
+    Flag(&["trace"], "nodes", NODES, Computed("max(min nodes, 2)"), "nodes (scaleout)"),
+    Flag(&["faults"], "nodes", NODES, Computed("min nodes + 2"), "nodes (scaleout)"),
+    Flag(&["simulate"], "trace", Kind::Text("FILE"), Unset, "write a chrome://tracing timeline of one iteration"),
+    Flag(&["simulate"], "attribute", Kind::Switch, Unset, "print the critical-path attribution"),
+    Flag(&["simulate"], "describe", Kind::Switch, Unset, "print the table-by-table placement map"),
+    Flag(&["shard"], "solver", Kind::Choice(&["greedy", "pack", "refine"]), Lit("refine"), "placement search"),
+    Flag(&["shard"], "rows", Kind::Switch, Unset, "per-row hot/cold split over HBM/DDR/SCM"),
+    Flag(&["shard"], "zipf", Kind::Float, Lit("1.1"), "lookup skew exponent (--rows)"),
+    Flag(&["shard"], "hbm-gib", GIB, Lit("8"), "HBM budget for hot slices (--rows)"),
+    Flag(&["shard"], "ddr-gib", GIB, Computed("host capacity"), "warm host-DDR cap (--rows)"),
+    Flag(&["shard"], "scm", Kind::Choice(&["pmem", "nvme"]), Lit("pmem"), "cold tier device (--rows)"),
+    Flag(&["faults"], "policy", Kind::Choice(&["checkpoint", "elastic", "fail-stop", "all"]), Lit("all"), "recovery policy"),
+    Flag(&["faults"], "mtbf", Kind::Float, Lit("21600"), "device MTBF, seconds"),
+    Flag(&["faults"], "interval", Kind::Float, Computed("Young's optimum"), "checkpoint interval, seconds"),
+    Flag(&["faults"], "horizon", Kind::Float, Lit("86400"), "simulated span, seconds"),
+    Flag(&["faults"], "seed", UINT, Lit("42"), "fault schedule seed"),
+    Flag(&["trace"], "format", Kind::Choice(&["chrome", "text", "summary"]), Lit("chrome"), "output format"),
+    Flag(&["prof"], "format", Kind::Choice(&["summary", "chrome", "json"]), Lit("summary"), "output format"),
+    Flag(&["trace", "prof"], "out", Kind::Text("FILE"), Computed("stdout"), "write the output to a file"),
+    Flag(&["train"], "examples", POS, Lit("40000"), "training examples"),
+    Flag(&["train"], "lr", Kind::Float, Lit("0.04"), "learning rate"),
+    Flag(&["train"], "seed", UINT, Lit("31"), "data and init seed"),
+    Flag(&["serve"], "rps", Kind::Float, Lit("4000"), "offered requests per second"),
+    Flag(&["serve"], "duration", Kind::Float, Lit("2"), "seconds of load"),
+    Flag(&["serve"], "seed", UINT, Lit("7"), "workload seed"),
+    Flag(&["serve"], "train-seed", UINT, Lit("17"), "seed of the served model (push: +1)"),
+    Flag(&["serve"], "policy", Kind::Choice(&["lru", "lfu", "static-hot"]), Lit("lru"), "embedding cache policy"),
+    Flag(&["serve"], "capacity", POS, Lit("1024"), "cache rows"),
+    Flag(&["serve"], "max-batch", POS, Lit("16"), "micro-batch size cap"),
+    Flag(&["serve"], "max-delay-us", UINT, Lit("2000"), "micro-batch wait cap"),
+    Flag(&["serve"], "slo-ms", Kind::Float, Lit("5"), "latency SLO"),
+    Flag(&["serve"], "multiplier", Kind::Float, Lit("6"), "rate burst factor (spike)"),
+    Flag(&["serve"], "stall-us", UINT, Lit("20000"), "weight-transfer stall (push)"),
+];
+
+/// A command's positional arguments.
+#[derive(Debug, Clone, Copy)]
+enum Positionals {
+    None,
+    /// At most one setup from the list; the first is the default.
+    Setup(&'static [&'static str]),
+    /// Exactly one experiment driver id.
+    Driver,
+    /// Any number of experiment driver ids.
+    Drivers,
+}
+
+struct Command {
+    name: &'static str,
+    positionals: Positionals,
+    about: &'static str,
+}
+
+/// Every command, in help order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "run", positionals: Positionals::Drivers, about: "run the named experiment drivers (or --all) in parallel; exit 1 if a claim\nfails. RECSIM_RESULTS_DIR=<dir> writes <id>.json, <id>_fig<i>.csv and, with --all,\ntimings.json" },
+    Command { name: "simulate", positionals: Positionals::None, about: "simulate one training setup" },
+    Command { name: "shard", positionals: Positionals::Setup(&["bb", "bb16", "zion"]), about: "auto-place embedding tables and compare against the best static strategy" },
+    Command { name: "faults", positionals: Positionals::Setup(&["bb", "bb16", "scaleout"]), about: "goodput of each recovery policy under injected failures" },
+    Command { name: "trace", positionals: Positionals::Setup(&["bb", "bb16", "zion", "cpu", "scaleout"]), about: "export one iteration's timeline and critical-path attribution" },
+    Command { name: "prof", positionals: Positionals::Driver, about: "run a driver with the hot-path profiler armed: per-op time/FLOP/byte shares,\nroofline bounds and sim-vs-measured calibration (DESIGN.md §12)" },
+    Command { name: "train", positionals: Positionals::None, about: "train for real, report NE" },
+    Command { name: "serve", positionals: Positionals::Setup(&["steady", "spike", "push"]), about: "price a serving scenario in virtual time, then train a model and score the\nexact schedule through it" },
+    Command { name: "models", positionals: Positionals::None, about: "describe the M1/M2/M3 stand-ins" },
+    Command { name: "verify", positionals: Positionals::None, about: "validate presets and list RV0xx findings; with --detsan, run each driver at\n1 vs N threads and report the first divergent stage and sweep point (DESIGN.md\n§11; RECSIM_RESULTS_DIR writes -t1/-tN artifact trees)" },
+    Command { name: "help", positionals: Positionals::None, about: "print this help" },
+];
+
+/// The flags `cmd` accepts, in table order.
+fn flags_of(cmd: &str) -> impl Iterator<Item = &'static Flag> + '_ {
+    FLAGS.iter().filter(move |f| f.0.contains(&cmd))
+}
+
+/// A checked command line: the command, its positionals (a setup command
+/// always has one) and the raw text of every flag value, literal defaults
+/// included (a switch that is on maps to "").
+#[derive(Debug)]
+struct Args {
+    cmd: &'static str,
+    positional: Vec<String>,
+    values: HashMap<&'static str, String>,
+}
+
+/// Checks `argv` (the command, then its arguments) against [`COMMANDS`] and
+/// [`FLAGS`]. No argv at all means `help`.
+fn parse(argv: &[String]) -> Result<Args, String> {
+    let (name, rest) = argv
+        .split_first()
+        .map_or(("help", &[][..]), |(n, r)| (n.as_str(), r));
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`"))?;
+    let mut values: HashMap<_, _> = flags_of(cmd.name)
+        .filter_map(|&Flag(_, name, _, default, _)| match default {
+            Lit(raw) => Some((name, raw.to_string())),
+            _ => None,
+        })
+        .collect();
     let mut positional = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if let Some(v) = it.peek().filter(|_| !SWITCHES.contains(&name)) {
-                if !v.starts_with("--") {
-                    flags.insert(name.to_string(), it.next().expect("peeked").clone());
-                    continue;
-                }
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            positional.push(arg.clone());
+            continue;
+        };
+        let &Flag(_, flag, kind, ..) = flags_of(name)
+            .find(|f| f.1 == key)
+            .ok_or_else(|| format!("`recsim {name}` has no flag `{arg}`"))?;
+        let mut raw = "";
+        if !matches!(kind, Kind::Switch) {
+            raw = it
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("`{arg}` needs a value: {}", kind.expects()))?;
+            if !kind.admits(raw) {
+                return Err(format!("`{arg}` expects {}, got `{raw}`", kind.expects()));
             }
-            flags.insert(name.to_string(), "true".to_string());
-        } else {
-            positional.push(a.clone());
+        }
+        values.insert(flag, raw.to_string());
+    }
+    let max = match cmd.positionals {
+        Positionals::None => 0,
+        Positionals::Setup(setups) => {
+            if positional.is_empty() {
+                positional.push(setups[0].to_string());
+            }
+            if !setups.contains(&positional[0].as_str()) {
+                let known = setups.join(", ");
+                return Err(format!(
+                    "unknown setup `{}` for `recsim {name}` ({known})",
+                    positional[0]
+                ));
+            }
+            1
+        }
+        Positionals::Driver if positional.is_empty() => {
+            return Err(format!("`recsim {name}` needs a driver id"));
+        }
+        Positionals::Driver => 1,
+        Positionals::Drivers => usize::MAX,
+    };
+    if let Some(extra) = positional.get(max) {
+        return Err(format!("unexpected argument `{extra}` to `recsim {name}`"));
+    }
+    Ok(Args {
+        cmd: cmd.name,
+        positional,
+        values,
+    })
+}
+
+impl Args {
+    /// The first positional: a setup command's setup or `prof`'s driver.
+    fn setup(&self) -> &str {
+        self.positional.first().map_or("", String::as_str)
+    }
+
+    fn on(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+
+    /// `--flag`'s value, if given or defaulted to a literal. Its kind has
+    /// checked the text, so it parses as the type the command reads.
+    fn opt<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.values.get(flag).and_then(|raw| raw.parse().ok())
+    }
+
+    /// [`Args::opt`] for a flag with a literal default.
+    fn get<T: FromStr>(&self, flag: &str) -> T {
+        self.opt(flag)
+            .unwrap_or_else(|| panic!("`--{flag}` is read as if it had a literal default"))
+    }
+
+    /// `--model m1|m2|m3`, else the Section V test-suite model built from
+    /// `--dense/--sparse/--hash/--mlp`.
+    fn model(&self) -> ModelConfig {
+        match self.opt::<String>("model").as_deref() {
+            Some("m1") => production_model(ProductionModelId::M1),
+            Some("m2") => production_model(ProductionModelId::M2),
+            Some(_) => production_model(ProductionModelId::M3),
+            None => {
+                let Mlp(mlp) = self.get("mlp");
+                let (dense, sparse) = (self.get("dense"), self.get("sparse"));
+                ModelConfig::test_suite(dense, sparse, self.get("hash"), &mlp)
+            }
         }
     }
-    (flags, positional)
-}
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    flags
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+    /// `--quick` selects the reduced scale; the default is full scale.
+    fn effort(&self) -> Effort {
+        if self.on("quick") {
+            Effort::Quick
+        } else {
+            Effort::Full
+        }
+    }
 
-fn build_model(flags: &HashMap<String, String>) -> ModelConfig {
-    let dense = get(flags, "dense", 256usize);
-    let sparse = get(flags, "sparse", 16usize);
-    let hash = get(flags, "hash", 100_000u64);
-    let mlp_spec = flags
-        .get("mlp")
-        .cloned()
-        .unwrap_or_else(|| "512x3".to_string());
-    let (w, l) = mlp_spec
-        .split_once('x')
-        .and_then(|(w, l)| Some((w.parse().ok()?, l.parse().ok()?)))
-        .unwrap_or((512usize, 3usize));
-    ModelConfig::test_suite(dense, sparse, hash, &vec![w; l])
-}
-
-/// `--quick` selects the reduced scale; the default is full scale.
-fn effort(flags: &HashMap<String, String>) -> Effort {
-    if flags.contains_key("quick") {
-        Effort::Quick
-    } else {
-        Effort::Full
+    /// `--placement` as a strategy.
+    fn placement(&self) -> PlacementStrategy {
+        match self.get::<String>("placement").as_str() {
+            "rowwise" => PlacementStrategy::GpuMemory(PartitionScheme::RowWise),
+            "replicated" => PlacementStrategy::GpuMemory(PartitionScheme::Replicated),
+            "system" => PlacementStrategy::SystemMemory,
+            "remote" => PlacementStrategy::RemoteCpu { servers: 8 },
+            "hybrid" => PlacementStrategy::Hybrid,
+            _ => PlacementStrategy::GpuMemory(PartitionScheme::TableWise),
+        }
     }
 }
 
-/// `recsim run (--all | <id>...)` — run the selected experiment drivers
-/// through the `recsim-pool` parallel sweep engine, print each report and a
-/// per-driver wall-clock table, and exit non-zero if any claim fails.
-/// `--threads N` overrides the pool width (equivalent to setting
-/// `RECSIM_THREADS=N`); outputs are identical at any thread count. With
-/// `RECSIM_RESULTS_DIR=<dir>` each driver's artifacts (`<id>.json` plus one
-/// CSV per figure, the format of the committed `results/`) are written
-/// there, and `--all` adds the run-specific `timings.json`.
-fn cmd_run(args: &[String]) -> ExitCode {
-    let (flags, ids) = parse_flags(args);
-    let all = flags.contains_key("all");
-    let selected = match (all, ids.is_empty()) {
+/// The single-node GPU platform a `bb|bb16|zion` setup names.
+fn gpu_platform(setup: &str) -> Platform {
+    match setup {
+        "bb16" => Platform::big_basin(Bytes::from_gib(16)),
+        "zion" => Platform::zion_prototype(),
+        _ => Platform::big_basin(Bytes::from_gib(32)),
+    }
+}
+
+/// `recsim help`, rendered from [`COMMANDS`] and [`FLAGS`].
+fn help() -> String {
+    let mut out = String::from(
+        "recsim — training-efficiency laboratory for recommendation models\n\n\
+         USAGE: recsim <command> [<setup> | <id>...] [--flag [value]]...\n\
+         Defaults are in brackets; a flag's value is the next argument.\n",
+    );
+    for cmd in COMMANDS {
+        let positionals = match cmd.positionals {
+            Positionals::None => String::new(),
+            Positionals::Setup(setups) => format!(" [{}]", setups.join("|")),
+            Positionals::Driver => " <driver>".into(),
+            Positionals::Drivers => " [<id>...]".into(),
+        };
+        let _ = writeln!(out, "\nrecsim {}{positionals}", cmd.name);
+        for line in cmd.about.lines() {
+            let _ = writeln!(out, "  {line}");
+        }
+        for &Flag(_, name, kind, default, help) in flags_of(cmd.name) {
+            let head = format!("--{name} {}", kind.metavar());
+            let default = match default {
+                Unset => String::new(),
+                Lit(d) | Computed(d) => format!(" [{d}]"),
+            };
+            let _ = writeln!(out, "    {head:<28} {help}{default}");
+        }
+    }
+    out
+}
+
+/// Reports `e` on stderr; the command exits 1.
+fn fail(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{e}");
+    ExitCode::FAILURE
+}
+
+/// Writes `contents` to `path` and prints `announce(path)`, or prints the
+/// contents to stdout without a path. A failed write exits 1.
+fn emit(path: Option<String>, contents: &str, announce: impl Fn(&str) -> String) -> ExitCode {
+    let Some(path) = path else {
+        print!("{contents}");
+        return ExitCode::SUCCESS;
+    };
+    match std::fs::write(&path, contents) {
+        Ok(()) => {
+            println!("{}", announce(&path));
+            ExitCode::SUCCESS
+        }
+        Err(e) => fail(format_args!("could not write {path}: {e}")),
+    }
+}
+
+/// `recsim run (--all | <id>...)` — run the selected drivers through the
+/// `recsim-pool` sweep engine (outputs are identical at any thread count),
+/// print each report and a per-driver wall-clock table, and exit non-zero
+/// if any claim fails. `RECSIM_RESULTS_DIR=<dir>` gets each driver's
+/// artifacts, in the format of the committed `results/`, and with `--all`
+/// the run-specific `timings.json`.
+fn cmd_run(args: &Args) -> ExitCode {
+    let all = args.on("all");
+    let selected = match (all, args.positional.is_empty()) {
         (true, true) => Ok(experiments::registry()),
-        (false, false) => ids
+        (false, false) => args
+            .positional
             .iter()
             .map(|id| experiments::lookup(id).map(|driver| (id.as_str(), driver)))
             .collect(),
@@ -194,21 +459,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
     };
     let selected: Vec<(&str, experiments::Driver)> = match selected {
         Ok(selected) => selected,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
-    let effort = effort(&flags);
-    if let Some(n) = flags.get("threads") {
-        match n.parse::<usize>() {
-            Ok(n) if n > 0 => recsim::pool::set_thread_override(Some(n)),
-            _ => {
-                eprintln!("--threads expects a positive integer, got `{n}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let effort = args.effort();
+    recsim::pool::set_thread_override(args.opt("threads"));
     let threads = recsim::pool::thread_count();
     let start = std::time::Instant::now();
     // Same fan-out as `experiments::run_all`, with a per-driver wall clock
@@ -236,24 +490,22 @@ fn cmd_run(args: &[String]) -> ExitCode {
         let dir = std::path::PathBuf::from(dir);
         for (_, out, _) in &timed {
             if let Err(e) = recsim::core::write_artifacts(out, &dir) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
+                return fail(e);
             }
         }
         if all {
-            let rows: Vec<String> = timings
-                .iter()
-                .map(|(id, secs)| format!("    {{\"driver\": \"{id}\", \"wall_secs\": {secs:.6}}}"))
-                .collect();
-            let timings_json = format!(
-                "{{\n  \"schema\": \"recsim-run-timings-v1\",\n  \"threads\": {threads},\n  \
-                 \"total_wall_secs\": {elapsed:.6},\n  \"drivers\": [\n{}\n  ]\n}}\n",
-                rows.join(",\n")
-            );
+            let drivers = timings.iter().map(|&(id, secs)| {
+                json::Value::object([("driver", id.into()), ("wall_secs", secs.into())])
+            });
+            let timings_json = json::Value::object([
+                ("schema", "recsim-run-timings-v1".into()),
+                ("threads", threads.into()),
+                ("total_wall_secs", elapsed.into()),
+                ("drivers", json::Value::Array(drivers.collect())),
+            ]);
             let path = dir.join("timings.json");
-            if let Err(e) = std::fs::write(&path, timings_json) {
-                eprintln!("could not write {}: {e}", path.display());
-                return ExitCode::FAILURE;
+            if let Err(e) = std::fs::write(&path, timings_json.to_pretty() + "\n") {
+                return fail(format_args!("could not write {}: {e}", path.display()));
             }
             println!("(timings written to {})", path.display());
         }
@@ -263,137 +515,76 @@ fn cmd_run(args: &[String]) -> ExitCode {
         timed.len()
     );
     if failed > 0 {
-        eprintln!("{failed} claim(s) failed");
-        ExitCode::FAILURE
+        fail(format_args!("{failed} claim(s) failed"))
     } else {
         ExitCode::SUCCESS
     }
 }
 
-fn cmd_simulate(args: &[String]) -> ExitCode {
-    let (flags, _) = parse_flags(args);
-    let model = build_model(&flags);
-    let batch = get(&flags, "batch", 1600u64);
-
-    // Multi-node scale-out mode.
-    if let Some(nodes) = flags.get("nodes").and_then(|v| v.parse::<u32>().ok()) {
-        return match ScaleOutSim::new(&model, nodes, batch) {
-            Ok(sim) => {
-                print_report(&sim.run());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("scale-out error: {e} (min nodes = {})", min_nodes(&model));
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let platform_name = flags
-        .get("platform")
-        .cloned()
-        .unwrap_or_else(|| "bb".to_string());
-    if platform_name == "cpu" {
-        return match CpuTrainingSim::new(&model, CpuClusterSetup::single_trainer(batch.min(800))) {
-            Ok(sim) => {
-                print_report(&sim.run());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("invalid CPU setup: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let platform = match platform_name.as_str() {
-        "bb" => Platform::big_basin(Bytes::from_gib(32)),
-        "bb16" => Platform::big_basin(Bytes::from_gib(16)),
-        "zion" => Platform::zion_prototype(),
-        other => {
-            eprintln!("unknown platform `{other}` (bb, bb16, zion, cpu)");
-            return ExitCode::FAILURE;
-        }
+fn cmd_simulate(args: &Args) -> ExitCode {
+    let model = args.model();
+    let batch: u64 = args.get("batch");
+    let platform: String = args.get("platform");
+    // Multi-node scale-out and the CPU trainer print the report alone.
+    let report = match args.opt("nodes") {
+        Some(nodes) => Some(scale_out(&model, nodes, batch).map(|sim| sim.run())),
+        None if platform == "cpu" => Some(cpu_trainer(&model, batch).map(|sim| sim.run())),
+        None => None,
     };
-    let Some(placement) = parse_placement(&flags) else {
-        return ExitCode::FAILURE;
-    };
-    match GpuTrainingSim::new(&model, &platform, placement, batch) {
-        Ok(sim) => {
-            let report = sim.run();
+    match report {
+        Some(Ok(report)) => {
             print_report(&report);
-            if flags.contains_key("attribute") {
-                print_attribution(&report);
-            }
-            if flags.contains_key("describe") {
-                print!("{}", sim.placement().describe());
-            }
-            if let Some(path) = flags.get("trace") {
-                match std::fs::write(path, chrome_trace(&sim.trace())) {
-                    Ok(()) => println!(
-                        "timeline written to {path} (open in chrome://tracing or Perfetto)"
-                    ),
-                    Err(e) => eprintln!("could not write trace: {e}"),
-                }
-            }
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        Err(e) => {
-            eprintln!("cannot simulate this setup: {e}");
-            ExitCode::FAILURE
-        }
+        Some(Err(e)) => return fail(e),
+        None => {}
+    }
+    let sim = match GpuTrainingSim::new(&model, &gpu_platform(&platform), args.placement(), batch) {
+        Ok(sim) => sim,
+        Err(e) => return fail(format_args!("cannot simulate this setup: {e}")),
+    };
+    let report = sim.run();
+    print_report(&report);
+    if args.on("attribute") {
+        print_attribution(&report);
+    }
+    if args.on("describe") {
+        print!("{}", sim.placement().describe());
+    }
+    match args.opt("trace") {
+        Some(path) => emit(Some(path), &chrome_trace(&sim.trace()), |path| {
+            format!("timeline written to {path} (open in chrome://tracing or Perfetto)")
+        }),
+        None => ExitCode::SUCCESS,
     }
 }
 
-fn parse_placement(flags: &HashMap<String, String>) -> Option<PlacementStrategy> {
-    match flags.get("placement").map_or("gpu", String::as_str) {
-        "gpu" => Some(PlacementStrategy::GpuMemory(PartitionScheme::TableWise)),
-        "rowwise" => Some(PlacementStrategy::GpuMemory(PartitionScheme::RowWise)),
-        "replicated" => Some(PlacementStrategy::GpuMemory(PartitionScheme::Replicated)),
-        "system" => Some(PlacementStrategy::SystemMemory),
-        "remote" => Some(PlacementStrategy::RemoteCpu { servers: 8 }),
-        "hybrid" => Some(PlacementStrategy::Hybrid),
-        other => {
-            eprintln!("unknown placement `{other}`");
-            None
-        }
-    }
+/// The single-trainer CPU setup `simulate --platform cpu` and `trace cpu`
+/// price.
+fn cpu_trainer(model: &ModelConfig, batch: u64) -> Result<CpuTrainingSim, String> {
+    CpuTrainingSim::new(model, CpuClusterSetup::single_trainer(batch.min(800)))
+        .map_err(|e| format!("invalid CPU setup: {e}"))
+}
+
+/// The multi-node scale-out setup of `simulate --nodes` and `trace scaleout`.
+fn scale_out(model: &ModelConfig, nodes: u32, batch: u64) -> Result<ScaleOutSim, String> {
+    ScaleOutSim::new(model, nodes, batch)
+        .map_err(|e| format!("scale-out error: {e} (min nodes = {})", min_nodes(model)))
 }
 
 /// `recsim shard <setup>` — search for the embedding placement minimizing
 /// predicted iteration time, print the plan, and compare it against the
-/// best static Figure-8 strategy on the same inputs. Setups are the GPU
-/// platforms (`bb`, `bb16`, `zion`); `--model m1|m2|m3` swaps in a
-/// production stand-in, otherwise the simulate model flags apply.
-fn cmd_shard(args: &[String]) -> ExitCode {
-    let (flags, positional) = parse_flags(args);
-    let setup = positional.first().map_or("bb", String::as_str);
-    let platform = match setup {
-        "bb" => Platform::big_basin(Bytes::from_gib(32)),
-        "bb16" => Platform::big_basin(Bytes::from_gib(16)),
-        "zion" => Platform::zion_prototype(),
-        other => {
-            eprintln!("unknown setup `{other}` (bb, bb16, zion — auto-sharding needs GPUs)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let model = match flags.get("model").map(String::as_str) {
-        Some("m1") => production_model(ProductionModelId::M1),
-        Some("m2") => production_model(ProductionModelId::M2),
-        Some("m3") => production_model(ProductionModelId::M3),
-        Some(other) => {
-            eprintln!("unknown model `{other}` (m1, m2, m3)");
-            return ExitCode::FAILURE;
-        }
-        None => build_model(&flags),
-    };
-    let batch = get(&flags, "batch", 1600u64);
-    if flags.contains_key("rows") {
-        return cmd_shard_rows(&flags, &model, &platform, batch);
+/// best static Figure-8 strategy on the same inputs.
+fn cmd_shard(args: &Args) -> ExitCode {
+    let platform = gpu_platform(args.setup());
+    let model = args.model();
+    let batch: u64 = args.get("batch");
+    if args.on("rows") {
+        return cmd_shard_rows(args, &model, &platform, batch);
     }
-    let solver_name = flags.get("solver").map_or("refine", String::as_str);
-    let Some(solver) = solver_by_name(solver_name) else {
-        eprintln!("unknown solver `{solver_name}` (greedy, pack, refine)");
-        return ExitCode::FAILURE;
+    let name: String = args.get("solver");
+    let Some(solver) = solver_by_name(&name) else {
+        return fail(format_args!("no solver `{name}`"));
     };
     match solver.shard(&model, &platform, batch) {
         Ok(plan) => {
@@ -412,54 +603,29 @@ fn cmd_shard(args: &[String]) -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("auto-sharding failed: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(format_args!("auto-sharding failed: {e}")),
     }
 }
 
 /// `recsim shard <setup> --rows` — per-row hot/cold sharding over the
 /// HBM / host DDR / SCM hierarchy: split every table into row ranges from
 /// the Zipf access CDF, print the plan and compare it against the
-/// whole-table baseline at the same HBM budget. `--zipf` sets the lookup
-/// skew, `--hbm-gib` the aggregate HBM byte budget for hot slices,
-/// `--ddr-gib` caps the warm host-DDR tier (default: the host's physical
-/// capacity), and `--scm pmem|nvme` picks the cold tier device.
-fn cmd_shard_rows(
-    flags: &HashMap<String, String>,
-    model: &ModelConfig,
-    platform: &Platform,
-    batch: u64,
-) -> ExitCode {
-    let scm = match flags.get("scm").map(String::as_str) {
-        None | Some("pmem") => ScmDevice::optane_pmem(),
-        Some("nvme") => ScmDevice::nvme_flash(),
-        Some(other) => {
-            eprintln!("unknown SCM device `{other}` (pmem, nvme)");
-            return ExitCode::FAILURE;
-        }
+/// whole-table baseline at the same HBM budget.
+fn cmd_shard_rows(args: &Args, model: &ModelConfig, platform: &Platform, batch: u64) -> ExitCode {
+    let scm = match args.get::<String>("scm").as_str() {
+        "nvme" => ScmDevice::nvme_flash(),
+        _ => ScmDevice::optane_pmem(),
     };
     let platform = platform.with_scm(scm);
-    let zipf = match flags.get("zipf").map(|v| (v, v.parse::<f64>())) {
-        None => 1.1,
-        Some((_, Ok(s))) => s,
-        Some((v, Err(_))) => {
-            eprintln!("--zipf expects a number, got `{v}`");
-            return ExitCode::FAILURE;
-        }
-    };
-    let budget = Bytes::from_gib(get(flags, "hbm-gib", 8u64));
+    let zipf: f64 = args.get("zipf");
+    let budget = Bytes::from_gib(args.get("hbm-gib"));
     let host_gib = platform.host().memory().capacity().as_u64() >> 30;
-    let ddr = Bytes::from_gib(get(flags, "ddr-gib", host_gib));
+    let ddr = Bytes::from_gib(args.opt("ddr-gib").unwrap_or(host_gib));
     let row = match RowShardSolver::default()
         .solve_with_caps(model, &platform, batch, zipf, budget, ddr)
     {
         Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("per-row sharding failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format_args!("per-row sharding failed: {e}")),
     };
     print!("{}", row.describe());
     match per_table_plan_with_caps(model, &platform, batch, zipf, budget, ddr) {
@@ -473,77 +639,48 @@ fn cmd_shard_rows(
             );
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("per-table baseline failed: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(format_args!("per-table baseline failed: {e}")),
     }
 }
 
 /// `recsim faults <setup>` — price a fault environment and report each
-/// recovery policy's goodput. Setups: the GPU platforms (`bb`, `bb16`) and
-/// `scaleout` (multi-node sharded GPU memory). The schedule is a pure
-/// function of `(seed, mtbf, horizon)`, so output is byte-identical at any
-/// thread count.
-fn cmd_faults(args: &[String]) -> ExitCode {
-    let (flags, positional) = parse_flags(args);
-    let setup = positional.first().map_or("bb", String::as_str);
-    let model = match flags.get("model").map(String::as_str) {
-        Some("m1") => production_model(ProductionModelId::M1),
-        Some("m2") => production_model(ProductionModelId::M2),
-        Some("m3") => production_model(ProductionModelId::M3),
-        Some(other) => {
-            eprintln!("unknown model `{other}` (m1, m2, m3)");
-            return ExitCode::FAILURE;
-        }
-        None => build_model(&flags),
-    };
+/// recovery policy's goodput. The schedule is a pure function of `(seed,
+/// mtbf, horizon)`, so output is byte-identical at any thread count.
+fn cmd_faults(args: &Args) -> ExitCode {
+    let model = args.model();
     let fault_cfg = FaultConfig {
-        seed: get(&flags, "seed", 42u64),
-        horizon_secs: get(&flags, "horizon", 86_400.0f64),
+        seed: args.get("seed"),
+        horizon_secs: args.get("horizon"),
         ..FaultConfig::default()
     }
-    .with_device_mtbf(get(&flags, "mtbf", 21_600.0f64));
+    .with_device_mtbf(args.get("mtbf"));
 
-    let built = match setup {
-        "bb" | "bb16" => {
-            let platform = if setup == "bb16" {
-                Platform::big_basin(Bytes::from_gib(16))
-            } else {
-                Platform::big_basin(Bytes::from_gib(32))
-            };
-            let batch = get(&flags, "batch", 1600u64);
-            FaultSchedule::generate(&fault_cfg, platform.gpus().len())
-                .map_err(FaultError::from)
-                .and_then(|schedule| {
-                    let ctx = FaultContext::for_gpu_training(
-                        &model, &platform, batch, &fault_cfg, &schedule,
-                    )?;
-                    Ok((schedule, ctx))
-                })
-        }
-        "scaleout" => {
-            let nodes = get(&flags, "nodes", min_nodes(&model) + 2);
-            let batch = get(&flags, "batch", 800u64);
-            FaultSchedule::generate(&fault_cfg, nodes as usize * 8)
-                .map_err(FaultError::from)
-                .and_then(|schedule| {
-                    let ctx =
-                        FaultContext::for_scale_out(&model, nodes, batch, &fault_cfg, &schedule)?;
-                    Ok((schedule, ctx))
-                })
-        }
-        other => {
-            eprintln!("unknown setup `{other}` (bb, bb16, scaleout)");
-            return ExitCode::FAILURE;
-        }
+    let built = if args.setup() == "scaleout" {
+        let nodes = args
+            .opt("nodes")
+            .unwrap_or_else(|| min_nodes(&model).saturating_add(2));
+        let batch = args.opt("batch").unwrap_or(800);
+        FaultSchedule::generate(&fault_cfg, nodes as usize * 8)
+            .map_err(FaultError::from)
+            .and_then(|schedule| {
+                let ctx = FaultContext::for_scale_out(&model, nodes, batch, &fault_cfg, &schedule)?;
+                Ok((schedule, ctx))
+            })
+    } else {
+        let platform = gpu_platform(args.setup());
+        let batch = args.opt("batch").unwrap_or(1600);
+        FaultSchedule::generate(&fault_cfg, platform.gpus().len())
+            .map_err(FaultError::from)
+            .and_then(|schedule| {
+                let ctx = FaultContext::for_gpu_training(
+                    &model, &platform, batch, &fault_cfg, &schedule,
+                )?;
+                Ok((schedule, ctx))
+            })
     };
     let (schedule, ctx) = match built {
         Ok(parts) => parts,
-        Err(e) => {
-            eprintln!("fault setup failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format_args!("fault setup failed: {e}")),
     };
 
     let failures = schedule.device_failures();
@@ -562,24 +699,16 @@ fn cmd_faults(args: &[String]) -> ExitCode {
         ctx.checkpoint_write_secs(),
         ctx.restart_secs()
     );
-    let interval = flags
-        .get("interval")
-        .and_then(|v| v.parse().ok())
+    let interval = args
+        .opt("interval")
         .unwrap_or_else(|| CheckpointRestart::optimal_interval(&ctx, fault_cfg.device_mtbf_secs));
     println!("checkpoint interval {interval:.0} s");
 
-    let wanted = flags.get("policy").map_or("all", String::as_str);
-    let names: Vec<&str> = if wanted == "all" {
-        POLICY_NAMES.to_vec()
-    } else if POLICY_NAMES.contains(&wanted) {
-        vec![wanted]
-    } else {
-        eprintln!("unknown policy `{wanted}` (checkpoint, elastic, fail-stop, all)");
-        return ExitCode::FAILURE;
-    };
-    for name in names {
-        let Some(policy) = policy_by_name(name, interval) else {
-            continue;
+    let wanted: String = args.get("policy");
+    for name in POLICY_NAMES {
+        let policy = match policy_by_name(name, interval) {
+            Some(policy) if wanted == "all" || wanted == name => policy,
+            _ => continue,
         };
         let g = policy.goodput(&ctx, failures);
         println!(
@@ -594,62 +723,32 @@ fn cmd_faults(args: &[String]) -> ExitCode {
 }
 
 /// `recsim trace <setup>` — export one iteration's execution timeline and
-/// its critical-path attribution. Setups: the GPU platforms (`bb`, `bb16`,
-/// `zion`), `cpu` (single-trainer fleet) and `scaleout` (multi-node sharded
-/// GPU memory). Formats: `chrome` (Perfetto-loadable JSON), `text`
-/// (per-resource timeline), `summary` (category/attribution/slack tables).
-fn cmd_trace(args: &[String]) -> ExitCode {
+/// its critical-path attribution: `chrome` (Perfetto-loadable JSON), `text`
+/// (per-resource timeline) or `summary` (category/attribution/slack tables).
+fn cmd_trace(args: &Args) -> ExitCode {
     const TOP_K: usize = 5;
-    let (flags, positional) = parse_flags(args);
-    let model = build_model(&flags);
-    let batch = get(&flags, "batch", 1600u64);
-    let setup = positional.first().map_or("bb", String::as_str);
+    let model = args.model();
+    let batch: u64 = args.get("batch");
+    let setup = args.setup();
 
-    let (trace, cp) = match setup {
-        "cpu" => {
-            match CpuTrainingSim::new(&model, CpuClusterSetup::single_trainer(batch.min(800))) {
-                Ok(sim) => (sim.trace(), sim.critical_path(TOP_K)),
-                Err(e) => {
-                    eprintln!("invalid CPU setup: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    let traced = match setup {
+        "cpu" => cpu_trainer(&model, batch).map(|sim| (sim.trace(), sim.critical_path(TOP_K))),
         "scaleout" => {
-            let nodes = get(&flags, "nodes", min_nodes(&model).max(2));
-            match ScaleOutSim::new(&model, nodes, batch) {
-                Ok(sim) => (sim.trace(), sim.critical_path(TOP_K)),
-                Err(e) => {
-                    eprintln!("scale-out error: {e} (min nodes = {})", min_nodes(&model));
-                    return ExitCode::FAILURE;
-                }
-            }
+            let nodes = args
+                .opt("nodes")
+                .unwrap_or_else(|| min_nodes(&model).max(2));
+            scale_out(&model, nodes, batch).map(|sim| (sim.trace(), sim.critical_path(TOP_K)))
         }
-        name @ ("bb" | "bb16" | "zion") => {
-            let platform = match name {
-                "bb" => Platform::big_basin(Bytes::from_gib(32)),
-                "bb16" => Platform::big_basin(Bytes::from_gib(16)),
-                _ => Platform::zion_prototype(),
-            };
-            let Some(placement) = parse_placement(&flags) else {
-                return ExitCode::FAILURE;
-            };
-            match GpuTrainingSim::new(&model, &platform, placement, batch) {
-                Ok(sim) => (sim.trace(), sim.critical_path(TOP_K)),
-                Err(e) => {
-                    eprintln!("cannot trace this setup: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        other => {
-            eprintln!("unknown setup `{other}` (bb, bb16, zion, cpu, scaleout)");
-            return ExitCode::FAILURE;
-        }
+        gpu => GpuTrainingSim::new(&model, &gpu_platform(gpu), args.placement(), batch)
+            .map(|sim| (sim.trace(), sim.critical_path(TOP_K)))
+            .map_err(|e| format!("cannot trace this setup: {e}")),
+    };
+    let (trace, cp) = match traced {
+        Ok(traced) => traced,
+        Err(e) => return fail(e),
     };
 
-    let rendered = match flags.get("format").map_or("chrome", String::as_str) {
-        "chrome" => chrome_trace(&trace),
+    let rendered = match args.get::<String>("format").as_str() {
         "text" => recsim::trace::text_timeline(&trace),
         "summary" => format!(
             "busy time by category:\n{}\ncritical-path attribution ({}):\n{}\ntop slack:\n{}",
@@ -658,75 +757,29 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             attribution_table(&cp),
             recsim::trace::slack_table(&cp),
         ),
-        other => {
-            eprintln!("unknown format `{other}` (chrome, text, summary)");
-            return ExitCode::FAILURE;
-        }
+        _ => chrome_trace(&trace),
     };
-    match flags.get("out") {
-        Some(path) => match std::fs::write(path, rendered) {
-            Ok(()) => {
-                println!("trace written to {path}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        None => {
-            print!("{rendered}");
-            ExitCode::SUCCESS
-        }
-    }
+    emit(args.opt("out"), &rendered, |path| {
+        format!("trace written to {path}")
+    })
 }
 
 /// `recsim prof <driver>` — run one experiment driver with the hot-path
 /// profiler armed (`recsim-prof` scopes on every model kernel and train
-/// phase), then report per-op time/FLOP/byte shares against the host
-/// roofline plus the sim-vs-measured calibration join (DESIGN.md §12).
-/// Formats: `summary` (text tables), `chrome` (Perfetto-loadable spans of
-/// the retained samples), `json` (the full [`ProfileReport`]).
-fn cmd_prof(args: &[String]) -> ExitCode {
-    let (flags, positional) = parse_flags(args);
-    let Some(id) = positional.first() else {
-        eprintln!(
-            "usage: recsim prof <driver> [--quick] [--format summary|chrome|json] [--out FILE]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let report = match profile_driver(id, effort(&flags)) {
+/// phase) and render the [`ProfileReport`] (DESIGN.md §12).
+fn cmd_prof(args: &Args) -> ExitCode {
+    let report = match profile_driver(args.setup(), args.effort()) {
         Ok(report) => report,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
-    let rendered = match flags.get("format").map_or("summary", String::as_str) {
-        "summary" => report.summary(),
+    let rendered = match args.get::<String>("format").as_str() {
         "chrome" => report.chrome(),
         "json" => report.json() + "\n",
-        other => {
-            eprintln!("unknown format `{other}` (summary, chrome, json)");
-            return ExitCode::FAILURE;
-        }
+        _ => report.summary(),
     };
-    match flags.get("out") {
-        Some(path) => match std::fs::write(path, rendered) {
-            Ok(()) => {
-                println!("profile written to {path}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        None => {
-            print!("{rendered}");
-            ExitCode::SUCCESS
-        }
-    }
+    emit(args.opt("out"), &rendered, |path| {
+        format!("profile written to {path}")
+    })
 }
 
 /// Prints a [`SimReport`]'s critical-path attribution (the `--attribute`
@@ -756,14 +809,9 @@ fn print_attribution(report: &SimReport) {
 /// (DESIGN.md §11): each selected driver at 1 worker vs N workers with the
 /// per-stage digest recorder armed, reporting the first divergent stage and
 /// sweep point.
-fn cmd_verify(args: &[String]) -> ExitCode {
-    let (flags, positional) = parse_flags(args);
-    if !positional.is_empty() {
-        eprintln!("usage: recsim verify [--detsan <id|all> [--quick] [--threads N]]");
-        return ExitCode::FAILURE;
-    }
-    if let Some(target) = flags.get("detsan") {
-        return cmd_verify_detsan(target, &flags);
+fn cmd_verify(args: &Args) -> ExitCode {
+    if let Some(target) = args.opt::<String>("detsan") {
+        return cmd_verify_detsan(&target, args);
     }
     let mut findings: Vec<(String, Diagnostic)> = Vec::new();
     let mut checked = 0usize;
@@ -773,12 +821,9 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     };
 
     for (name, platform) in [
-        (
-            "platform bb (32 GiB)",
-            Platform::big_basin(Bytes::from_gib(32)),
-        ),
-        ("platform bb16", Platform::big_basin(Bytes::from_gib(16))),
-        ("platform zion", Platform::zion_prototype()),
+        ("platform bb (32 GiB)", gpu_platform("bb")),
+        ("platform bb16", gpu_platform("bb16")),
+        ("platform zion", gpu_platform("zion")),
         ("platform cpu", Platform::dual_socket_cpu()),
     ] {
         check(name.to_string(), platform.validate());
@@ -790,7 +835,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         let setup = recsim::core::setups::ProductionSetup::for_model(id);
         if let Ok(p) = Placement::plan(
             &m,
-            &Platform::big_basin(Bytes::from_gib(32)),
+            &gpu_platform("bb"),
             setup.gpu_placement,
             recsim::placement::plan::ADAGRAD_STATE_MULTIPLIER,
         ) {
@@ -829,29 +874,17 @@ fn cmd_verify(args: &[String]) -> ExitCode {
 /// excluded from `all`. With `RECSIM_RESULTS_DIR=<dir>` the serial and
 /// parallel artifacts are persisted to `<dir>-t1/` and `<dir>-tN/` so CI
 /// can byte-diff them as a backstop.
-fn cmd_verify_detsan(target: &str, flags: &HashMap<String, String>) -> ExitCode {
-    let effort = effort(flags);
-    let threads = match flags.get("threads") {
-        Some(n) => match n.parse::<usize>() {
-            Ok(n) if n >= 2 => n,
-            _ => {
-                eprintln!("--threads expects an integer >= 2, got `{n}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => recsim::pool::thread_count().max(2),
-    };
-    // A bare `--detsan` parses as the value "true": sweep everything.
-    let target = if target == "true" { "all" } else { target };
+fn cmd_verify_detsan(target: &str, args: &Args) -> ExitCode {
+    let effort = args.effort();
+    let threads = args
+        .opt("threads")
+        .unwrap_or_else(|| recsim::pool::thread_count().max(2));
     let selected: Vec<(&str, experiments::Driver)> = match target {
         "all" => experiments::registry(),
         "detsan_demo" => vec![(target, experiments::detsan_demo::run)],
         _ => match experiments::lookup(target) {
             Ok(driver) => vec![(target, driver)],
-            Err(e) => {
-                eprintln!("{e}; or `detsan_demo`, or `all`");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(format_args!("{e}; or `detsan_demo`, or `all`")),
         },
     };
 
@@ -867,14 +900,11 @@ fn cmd_verify_detsan(target: &str, flags: &HashMap<String, String>) -> ExitCode 
                 (format!("t{threads}"), &cmp.json_parallel),
             ] {
                 let dir = std::path::PathBuf::from(format!("{base}-{suffix}"));
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
                 let path = dir.join(format!("{id}.json"));
-                if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
+                let written = std::fs::create_dir_all(&dir)
+                    .and_then(|()| std::fs::write(&path, format!("{json}\n")));
+                if let Err(e) = written {
+                    return fail(format_args!("cannot write {}: {e}", path.display()));
                 }
             }
         }
@@ -918,21 +948,16 @@ fn print_report(report: &SimReport) {
     }
 }
 
-fn cmd_train(args: &[String]) -> ExitCode {
-    let (mut flags, _) = parse_flags(args);
-    flags.entry("dense".into()).or_insert_with(|| "16".into());
-    flags.entry("sparse".into()).or_insert_with(|| "4".into());
-    flags.entry("hash".into()).or_insert_with(|| "2000".into());
-    flags.entry("mlp".into()).or_insert_with(|| "32x2".into());
-    let model = build_model(&flags);
+fn cmd_train(args: &Args) -> ExitCode {
+    let model = args.model();
     let config = TrainerConfig {
-        batch_size: get(&flags, "batch", 200usize),
-        train_examples: get(&flags, "examples", 40_000usize),
+        batch_size: args.get("batch"),
+        train_examples: args.get("examples"),
         eval_examples: 8_000,
-        learning_rate: get(&flags, "lr", 0.04f32),
+        learning_rate: args.get("lr"),
         warmup_steps: 20,
         adagrad: true,
-        seed: get(&flags, "seed", 31u64),
+        seed: args.get("seed"),
     };
     println!(
         "training {} for {} examples at batch {} (lr {})...",
@@ -943,77 +968,51 @@ fn cmd_train(args: &[String]) -> ExitCode {
     );
     let run = TrainRun::new(&model, config).execute();
     let hist = run.loss_history();
+    let first = hist.first().copied().unwrap_or(0.0);
+    let last = hist.last().copied().unwrap_or(0.0);
+    let ne = run.final_ne();
     println!("steps:           {}", hist.len());
-    println!(
-        "first-step loss: {:.4}",
-        hist.first().copied().unwrap_or(0.0)
-    );
-    println!(
-        "last-step loss:  {:.4}",
-        hist.last().copied().unwrap_or(0.0)
-    );
-    println!(
-        "held-out NE:     {:.4}  (1.0 = base-rate prediction)",
-        run.final_ne()
-    );
+    println!("first-step loss: {first:.4}");
+    println!("last-step loss:  {last:.4}");
+    println!("held-out NE:     {ne:.4}  (1.0 = base-rate prediction)");
     ExitCode::SUCCESS
 }
 
 /// `recsim serve <setup>` — run the online inference serving tier: price
 /// the scenario in virtual time (micro-batching, embedding cache, SLO
 /// tails), then really train a DLRM and push the exact priced schedule
-/// through its forward path. Setups: `steady` (stationary Poisson),
-/// `spike` (transient rate burst mid-run), `push` (mid-run model swap: a
-/// second model trained at `seed + 1` takes over behind a weight-transfer
-/// stall and a cold cache).
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let (mut flags, positional) = parse_flags(args);
-    let setup = positional.first().map_or("steady", String::as_str);
-    flags.entry("dense".into()).or_insert_with(|| "16".into());
-    flags.entry("sparse".into()).or_insert_with(|| "4".into());
-    flags.entry("hash".into()).or_insert_with(|| "2000".into());
-    flags.entry("mlp".into()).or_insert_with(|| "32x2".into());
-    let model = build_model(&flags);
+/// through its forward path. `steady` is stationary Poisson, `spike` a
+/// mid-run rate burst, and `push` a mid-run swap to a model trained at
+/// `seed + 1`, behind a weight-transfer stall and a cold cache.
+fn cmd_serve(args: &Args) -> ExitCode {
+    let setup = args.setup();
+    let model = args.model();
 
-    let seed = get(&flags, "seed", 7u64);
-    let duration = get(&flags, "duration", 2.0f64);
-    let rps = get(&flags, "rps", 4_000.0f64);
-    let mut workload = WorkloadConfig::steady(seed, rps, duration);
-    let mut push = None;
-    match setup {
-        "steady" => {}
-        "spike" => {
-            workload.spike = Some(Spike {
-                start_secs: duration * 0.4,
-                duration_secs: duration * 0.2,
-                multiplier: get(&flags, "multiplier", 6.0f64),
-            });
-        }
-        "push" => {
-            push = Some(ModelPush {
-                at_secs: duration * 0.5,
-                stall_us: get(&flags, "stall-us", 20_000u64),
-            });
-        }
-        other => {
-            eprintln!("unknown setup `{other}` (steady, spike, push)");
-            return ExitCode::FAILURE;
-        }
-    }
-    let policy_name = flags.get("policy").map_or("lru", String::as_str);
-    let Some(policy) = CachePolicy::from_name(policy_name) else {
-        eprintln!("unknown cache policy `{policy_name}` (lru, lfu, static-hot)");
-        return ExitCode::FAILURE;
+    let seed: u64 = args.get("seed");
+    let duration: f64 = args.get("duration");
+    let rps: f64 = args.get("rps");
+    let workload = WorkloadConfig {
+        spike: (setup == "spike").then(|| Spike {
+            start_secs: duration * 0.4,
+            duration_secs: duration * 0.2,
+            multiplier: args.get("multiplier"),
+        }),
+        ..WorkloadConfig::steady(seed, rps, duration)
+    };
+    let push = (setup == "push").then(|| ModelPush {
+        at_secs: duration * 0.5,
+        stall_us: args.get("stall-us"),
+    });
+    let name: String = args.get("policy");
+    let Some(policy) = CachePolicy::from_name(&name) else {
+        return fail(format_args!("no cache policy `{name}`"));
     };
     let cfg = ServeConfig {
         workload,
         policy,
-        capacity_rows: get(&flags, "capacity", 1_024usize),
-        batching: BatchPolicy::new(
-            get(&flags, "max-batch", 16usize),
-            get(&flags, "max-delay-us", 2_000u64),
-        ),
-        slo_ms: get(&flags, "slo-ms", 5.0f64),
+        capacity_rows: args.get("capacity"),
+        batching: BatchPolicy::new(args.get("max-batch"), args.get("max-delay-us")),
+        slo_ms: args.get("slo-ms"),
         push,
     };
 
@@ -1032,7 +1031,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     print_serve_report(&report);
 
     // The real pass: train, then score the exact priced schedule.
-    let train_seed = get(&flags, "train-seed", 17u64);
+    let train_seed: u64 = args.get("train-seed");
     let trainer = TrainerConfig {
         seed: train_seed,
         ..TrainerConfig::quick_test()
@@ -1071,14 +1070,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 seed,
             );
             print_execution("pre-push ", &pre);
-            println!(
-                "  model push: training the replacement at seed {}...",
-                train_seed + 1
-            );
+            let fresh_seed = train_seed.wrapping_add(1);
+            println!("  model push: training the replacement at seed {fresh_seed}...");
             let fresh = TrainRun::new(
                 &model,
                 TrainerConfig {
-                    seed: train_seed + 1,
+                    seed: fresh_seed,
                     ..trainer
                 },
             )
@@ -1176,4 +1173,248 @@ fn cmd_models() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use recsim_rng::check::{check, Gen};
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(ToString::to_string).collect()
+    }
+
+    fn command(name: &str) -> &'static Command {
+        COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .expect("known command")
+    }
+
+    /// Whether `raw` is in `kind`'s range, checked apart from [`Kind::admits`].
+    fn in_range(kind: Kind, raw: &str) -> bool {
+        match kind {
+            Kind::Switch => raw.is_empty(),
+            Kind::Int(min, max) => raw.parse::<u64>().is_ok_and(|n| min <= n && n <= max),
+            Kind::Float => raw
+                .parse::<f32>()
+                .is_ok_and(|x| x > 0.0 && x < f32::INFINITY),
+            Kind::Choice(choices) => choices.contains(&raw),
+            Kind::Shape => raw.split_once('x').is_some_and(|(w, l)| {
+                w.parse::<usize>().is_ok_and(|w| w >= 1)
+                    && l.parse::<usize>()
+                        .is_ok_and(|l| (1..=MAX_LAYERS).contains(&l))
+            }),
+            Kind::Text(_) => !raw.is_empty(),
+        }
+    }
+
+    #[test]
+    fn every_row_is_well_formed() {
+        for &Flag(cmds, name, kind, default, _) in FLAGS {
+            if let Lit(raw) = default {
+                assert!(kind.admits(raw), "--{name} default `{raw}`");
+            }
+            if matches!(kind, Kind::Switch) {
+                assert!(matches!(default, Unset), "--{name} is a switch");
+            }
+            for cmd in cmds {
+                command(cmd);
+                let rows = flags_of(cmd).filter(|f| f.1 == name).count();
+                assert_eq!(rows, 1, "`{cmd} --{name}` is declared {rows} times");
+            }
+        }
+    }
+
+    #[test]
+    fn choices_resolve_in_the_library() {
+        let choices = |cmd: &str, name: &str| match flags_of(cmd).find(|f| f.1 == name) {
+            Some(&Flag(_, _, Kind::Choice(choices), ..)) => choices,
+            _ => panic!("`{cmd} --{name}` is not a choice"),
+        };
+        for name in choices("shard", "solver") {
+            assert!(solver_by_name(name).is_some(), "solver {name}");
+        }
+        for name in choices("serve", "policy") {
+            assert!(
+                CachePolicy::from_name(name).is_some(),
+                "cache policy {name}"
+            );
+        }
+        assert_eq!(
+            choices("faults", "policy"),
+            [&POLICY_NAMES[..], &["all"]].concat()
+        );
+    }
+
+    /// Each help section lists exactly the flags its command accepts.
+    #[test]
+    fn help_lists_exactly_the_accepted_flags() {
+        let text = help();
+        for cmd in COMMANDS {
+            let header = format!("\nrecsim {}", cmd.name);
+            let section = text.split(&header).nth(1).expect("a section per command");
+            let section = section.split("\nrecsim ").next().unwrap_or_default();
+            let listed: Vec<&str> = section
+                .lines()
+                .filter_map(|l| l.strip_prefix("    --"))
+                .map(|l| l.split(' ').next().unwrap_or_default())
+                .collect();
+            let accepted: Vec<&str> = flags_of(cmd.name).map(|f| f.1).collect();
+            assert_eq!(listed, accepted, "recsim {}", cmd.name);
+        }
+    }
+
+    #[test]
+    fn defaults_fill_in_and_given_values_override() {
+        let args = parse(&[]).expect("no argv is help");
+        assert_eq!(args.cmd, "help");
+        let args = parse(&argv(&["train"])).expect("train");
+        assert_eq!(
+            (args.get::<usize>("batch"), args.get::<f32>("lr")),
+            (200, 0.04)
+        );
+        assert_eq!(args.model().num_dense(), 16);
+        let args = parse(&argv(&["simulate"])).expect("simulate");
+        assert_eq!(
+            (args.get::<u64>("batch"), args.model().num_sparse()),
+            (1600, 16)
+        );
+        assert_eq!(args.opt::<u32>("nodes"), None);
+        let args = parse(&argv(&["shard", "--rows", "--zipf", "0.8"])).expect("shard");
+        assert_eq!((args.setup(), args.get::<f64>("zipf")), ("bb", 0.8));
+        assert!(args.on("rows") && !args.on("describe"));
+        let args = parse(&argv(&["serve", "push", "--mlp", "8x1", "--seed", "9"])).expect("serve");
+        assert_eq!((args.setup(), args.get::<u64>("seed")), ("push", 9));
+        assert_eq!(args.model().bottom_mlp(), [8]);
+        let args = parse(&argv(&["run", "--quick", "fig06", "table1"])).expect("run");
+        assert_eq!(args.positional, ["fig06", "table1"]);
+        assert_eq!(args.effort(), Effort::Quick);
+        let args = parse(&argv(&["faults", "scaleout", "--model", "m3"])).expect("faults");
+        assert_eq!(args.opt::<u64>("batch"), None);
+        assert_eq!(args.model(), production_model(ProductionModelId::M3));
+    }
+
+    /// Every class of bad input is an error that names it.
+    #[test]
+    fn each_bad_input_class_names_the_input() {
+        for (words, needle) in [
+            (&["simulate", "--thredas", "2"][..], "--thredas"),
+            (&["run", "--quick", "--thredas", "2", "table1"], "--thredas"),
+            (&["train", "--examples"], "--examples"),
+            (&["verify", "--detsan"], "--detsan"),
+            (&["verify", "--detsan", "--quick"], "--detsan"),
+            (&["shard", "bb", "extra"], "extra"),
+            (&["verify", "table1"], "table1"),
+            (&["prof", "automl", "fig15"], "fig15"),
+            (&["prof", "--quick"], "driver"),
+            (&["faults", "zion"], "zion"),
+            (&["simulate", "--dense", "abc"], "--dense"),
+            (&["simulate", "--platform", "tpu"], "--platform"),
+            (&["simulate", "--mlp", "512"], "--mlp"),
+            (&["train", "--lr", "1e-50"], "--lr"),
+            (&["serve", "--duration", "0"], "--duration"),
+            (&["faults", "--seed", "-1"], "--seed"),
+            (
+                &["verify", "--detsan", "all", "--threads", "1"],
+                "--threads",
+            ),
+            (
+                &["shard", "--rows", "--hbm-gib", "18446744073709551615"],
+                "--hbm-gib",
+            ),
+            (&["bogus"], "bogus"),
+        ] {
+            let err = parse(&argv(words)).expect_err(&format!("{words:?}"));
+            assert!(err.contains(needle), "{words:?}: {err}");
+        }
+    }
+
+    /// A token for the argv property: a flag from the table (declared for
+    /// the command or not), an unknown flag, or a value good or bad.
+    fn token(g: &mut Gen) -> String {
+        const VALUES: &[&str] = &[
+            "1",
+            "7",
+            "0.5",
+            "512x3",
+            "0",
+            "-1",
+            "nan",
+            "inf",
+            "",
+            "abc",
+            "18446744073709551615",
+            "1000000000000000000",
+            "1e-50",
+            "0x3",
+            "4x0",
+            "bb",
+            "scaleout",
+            "push",
+            "m1",
+            "lru",
+            "summary",
+            "table1",
+            "-",
+            "--",
+        ];
+        match g.range(0u32..6) {
+            0 | 1 => format!("--{}", FLAGS[g.range(0..FLAGS.len())].1),
+            2 => format!("--{}", g.pick(&["thredas", "help", "x", "", "quick=1"])),
+            3 => g.pick(VALUES).to_string(),
+            4 => match FLAGS[g.range(0..FLAGS.len())].2 {
+                Kind::Choice(choices) => g.pick(choices).to_string(),
+                Kind::Int(min, max) => g.range(min..=max).to_string(),
+                Kind::Float => g.range(1e-9f64..1e9).to_string(),
+                Kind::Shape => format!("{}x{}", g.range(0u32..600), g.range(0usize..1100)),
+                Kind::Switch | Kind::Text(_) => g.string(),
+            },
+            _ => g.string(),
+        }
+    }
+
+    /// `parse` never panics; an `Ok` holds only in-range values and valid
+    /// positionals; any flag the command does not declare is an `Err`.
+    /// Parsing only: no command runs, so nothing is allocated or spawned.
+    #[test]
+    fn parse_property_never_panics_and_admits_only_in_range_values() {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).chain(["bogus"]).collect();
+        check(
+            "cli_parse",
+            2_000,
+            |g| {
+                let mut argv = vec![g.pick(&names).to_string()];
+                argv.extend(g.vec(0..8, token));
+                argv
+            },
+            |argv| {
+                let parsed = parse(&argv);
+                let cmd = argv[0].as_str();
+                let undeclared = argv[1..]
+                    .iter()
+                    .filter_map(|a| a.strip_prefix("--"))
+                    .any(|name| !flags_of(cmd).any(|f| f.1 == name));
+                if undeclared {
+                    assert!(parsed.is_err(), "accepted an undeclared flag");
+                }
+                let Ok(args) = parsed else {
+                    return;
+                };
+                for (name, raw) in &args.values {
+                    let f = flags_of(cmd).find(|f| f.1 == *name).expect("declared");
+                    assert!(in_range(f.2, raw), "--{name} = {raw:?}");
+                }
+                let n = args.positional.len();
+                match command(cmd).positionals {
+                    Positionals::None => assert_eq!(n, 0),
+                    Positionals::Setup(setups) => {
+                        assert!(n == 1 && setups.contains(&args.setup()));
+                    }
+                    Positionals::Driver => assert_eq!(n, 1),
+                    Positionals::Drivers => {}
+                }
+            },
+        );
+    }
 }

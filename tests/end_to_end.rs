@@ -157,22 +157,48 @@ fn geometry_monotonicity_across_the_design_space() {
     }
 }
 
-/// A bad `--zipf` value reaches the per-row solver's validation (or the
-/// CLI's parser) and comes back as an error message and exit code 1, never
-/// a panic.
+/// Bad command-line input exits exactly 1 with a message naming the flag
+/// (or the RV0xx finding), never a panic and never a silent default. Every
+/// case is rejected before any simulation or training runs, except the
+/// unwritable `--trace` path, which fails after one cheap simulated
+/// iteration.
 #[test]
-fn shard_rows_rejects_bad_zipf_exponents() {
-    for bad in ["0", "nan", "-1", "abc"] {
+fn bad_cli_input_exits_1_without_panic() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["simulate", "--dense", "0"], "--dense"),
+        (&["simulate", "--mlp", "0x3"], "--mlp"),
+        (&["simulate", "--hash", "0"], "--hash"),
+        (&["train", "--batch", "0"], "--batch"),
+        (&["train", "--examples", "0"], "--examples"),
+        (&["train", "--lr", "nan"], "--lr"),
+        (&["serve", "--capacity", "0"], "--capacity"),
+        (&["serve", "--max-batch", "0"], "--max-batch"),
+        (&["simulate", "--dense", "abc"], "--dense"),
+        (&["simulate", "--nodes", "abc"], "--nodes"),
+        (&["faults", "bb", "--seed", "-1"], "--seed"),
+        (&["faults", "bb", "--interval", "-1"], "--interval"),
+        (&["serve", "--duration", "0"], "--duration"),
+        (&["serve", "--slo-ms", "-1"], "--slo-ms"),
+        (&["run", "--quick", "--thredas", "2", "table1"], "--thredas"),
+        (
+            &["simulate", "--trace", "/nonexistent/dir/x.json"],
+            "/nonexistent/dir/x.json",
+        ),
+        (&["simulate", "--hash", "1000000000000000000"], "RV028"),
+        (&["shard", "bb", "extra"], "extra"),
+        (&["shard", "bb", "--rows", "--zipf", "0"], "--zipf"),
+        (&["shard", "bb", "--rows", "--zipf", "nan"], "--zipf"),
+        (&["shard", "bb", "--rows", "--zipf", "-1"], "--zipf"),
+        (&["shard", "bb", "--rows", "--zipf", "abc"], "--zipf"),
+    ];
+    for (argv, needle) in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_recsim"))
-            .args(["shard", "bb", "--rows", "--zipf", bad])
+            .args(*argv)
             .output()
             .expect("run the recsim binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--zipf {bad}: {stderr}");
-        assert!(!stderr.contains("panicked"), "--zipf {bad}: {stderr}");
-        assert!(
-            stderr.to_lowercase().contains("zipf"),
-            "--zipf {bad}: {stderr}"
-        );
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        assert!(stderr.contains(needle), "{argv:?}: {stderr}");
     }
 }
